@@ -12,6 +12,11 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+echo "==> cargo test (perfbench)"
+# perfbench is a workspace of its own, so the root `cargo test` skips it;
+# its tests include the check that BENCHMARK.json matches its metric tables.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 

@@ -1,6 +1,6 @@
 //! Result type shared by every CC implementation in the workspace.
 
-use ecl_graph::{stats, CsrGraph, Vertex};
+use ecl_graph::{CsrGraph, Vertex};
 
 /// The outcome of a connected-components run: one label per vertex.
 ///
@@ -26,11 +26,15 @@ impl CcResult {
         sorted.len()
     }
 
-    /// Verifies this labeling against the BFS ground truth for `g`
-    /// (partition equality — representative choice is free), mirroring the
-    /// paper's §4 verification step.
+    /// Certifies this labeling against `g` with [`ecl_verify::certify`]:
+    /// the labels must partition the vertices into exactly the connected
+    /// components, each label naming a member of its class that labels
+    /// itself (which member is free), mirroring the paper's §4
+    /// verification step.
     pub fn verify(&self, g: &CsrGraph) -> Result<(), String> {
-        stats::verify_labels(g, &self.labels)
+        ecl_verify::certify(g, &self.labels)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     }
 
     /// True if vertices `u` and `v` are in the same component.
@@ -53,7 +57,7 @@ impl CcResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecl_graph::generate;
+    use ecl_graph::{generate, stats};
 
     #[test]
     fn num_components_counts_distinct_labels() {
@@ -75,6 +79,31 @@ mod tests {
         good.verify(&g).unwrap();
         let bad = CcResult::new(vec![0; 12]);
         assert!(bad.verify(&g).is_err());
+    }
+
+    #[test]
+    fn verify_accepts_any_representative_choice() {
+        let g = generate::disjoint_cliques(2, 3);
+        // Use the *largest* vertex as representative instead of smallest.
+        CcResult::new(vec![2, 2, 2, 5, 5, 5]).verify(&g).unwrap();
+    }
+
+    #[test]
+    fn verify_rejects_merged_components() {
+        let g = generate::disjoint_cliques(2, 3);
+        assert!(CcResult::new(vec![0; 6]).verify(&g).is_err());
+    }
+
+    #[test]
+    fn verify_rejects_split_components() {
+        let g = generate::complete(4);
+        assert!(CcResult::new(vec![0, 0, 2, 2]).verify(&g).is_err());
+    }
+
+    #[test]
+    fn verify_rejects_wrong_length() {
+        let g = generate::path(4);
+        assert!(CcResult::new(vec![0, 0]).verify(&g).is_err());
     }
 
     #[test]

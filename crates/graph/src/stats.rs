@@ -90,30 +90,6 @@ pub fn canonicalize_labels(labels: &[Vertex]) -> Vec<Vertex> {
     out
 }
 
-/// Checks that `labels` is a valid connected-components labeling of `g`:
-/// endpoints of every edge share a label, and vertices in different
-/// components never share one. Returns `Err` with a diagnostic on failure.
-pub fn verify_labels(g: &CsrGraph, labels: &[Vertex]) -> Result<(), String> {
-    if labels.len() != g.num_vertices() {
-        return Err(format!(
-            "label array length {} != vertex count {}",
-            labels.len(),
-            g.num_vertices()
-        ));
-    }
-    let canon = canonicalize_labels(labels);
-    let reference = reference_labels(g);
-    for v in 0..g.num_vertices() {
-        if canon[v] != reference[v] {
-            return Err(format!(
-                "vertex {v}: got component {}, reference {}",
-                canon[v], reference[v]
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Histogram of component sizes, sorted descending. Useful for the
 /// examples and for asserting generator component structure.
 pub fn component_sizes(g: &CsrGraph) -> Vec<usize> {
@@ -167,34 +143,6 @@ mod tests {
         let a = vec![9, 9, 7, 7, 9];
         let b = vec![2, 2, 0, 0, 2];
         assert_eq!(canonicalize_labels(&a), canonicalize_labels(&b));
-    }
-
-    #[test]
-    fn verify_accepts_any_representative_choice() {
-        let g = generate::disjoint_cliques(2, 3);
-        // Use the *largest* vertex as representative instead of smallest.
-        let labels = vec![2, 2, 2, 5, 5, 5];
-        verify_labels(&g, &labels).unwrap();
-    }
-
-    #[test]
-    fn verify_rejects_merged_components() {
-        let g = generate::disjoint_cliques(2, 3);
-        let labels = vec![0, 0, 0, 0, 0, 0];
-        assert!(verify_labels(&g, &labels).is_err());
-    }
-
-    #[test]
-    fn verify_rejects_split_components() {
-        let g = generate::complete(4);
-        let labels = vec![0, 0, 2, 2];
-        assert!(verify_labels(&g, &labels).is_err());
-    }
-
-    #[test]
-    fn verify_rejects_wrong_length() {
-        let g = generate::path(4);
-        assert!(verify_labels(&g, &[0, 0]).is_err());
     }
 
     #[test]

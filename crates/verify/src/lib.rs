@@ -7,6 +7,15 @@
 //! lock-free union-find (or in the GPU simulator underneath it) cannot
 //! also hide the evidence.
 //!
+//! Certification sits on the critical path of every delivered labeling
+//! (the fallback ladder certifies inside each job's wall time), so the
+//! label checks take one streaming pass over the vertices, and the
+//! ground truth is a direction-optimizing BFS (Beamer, Asanović &
+//! Patterson, SC'12). Its bottom-up steps rely on the `CsrGraph`
+//! invariant that every edge is stored in both directions; on a
+//! low-diameter giant component they read about a tenth of the
+//! adjacency, and on a mesh the BFS stays top-down.
+//!
 //! The checker is *certifying* in the Mehlhorn sense: a passing run
 //! returns a [`Certificate`] stating the facts that were established,
 //! and a failing run returns a [`VerifyError`] pinpointing a concrete
@@ -31,6 +40,9 @@
 
 use ecl_graph::{CsrGraph, Vertex};
 use std::fmt;
+
+#[cfg(test)]
+mod oracle;
 
 /// A concrete witness of an invalid labeling or parent array.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -216,10 +228,16 @@ fn certify_inner(
         });
     }
 
-    // Labels in range, and each used label a fixpoint of the labeling —
-    // so distinct labels biject with the classes they name.
-    for v in 0..n {
-        let l = labels[v];
+    // One streaming pass over the vertices. Range and representative
+    // failures outrank every later check, so they return at once; the
+    // first edge split and the first label above its own vertex are only
+    // recorded here and reported in priority order after the pass.
+    let mut fixpoints = 0usize;
+    let mut first_split = None;
+    let mut first_above = None;
+    for (v, &l) in labels.iter().enumerate() {
+        // Labels in range, and each used label a fixpoint of the labeling
+        // — so distinct labels biject with the classes they name.
         if (l as usize) >= n {
             return Err(VerifyError::LabelOutOfRange {
                 vertex: v as Vertex,
@@ -234,101 +252,180 @@ fn certify_inner(
                 label_of_label: ll,
             });
         }
-    }
-
-    // Edge consistency: labels are constant on connected components.
-    let mut edges_checked = 0usize;
-    for (u, v) in g.edges() {
-        let (lu, lv) = (labels[u as usize], labels[v as usize]);
-        if lu != lv {
-            return Err(VerifyError::EdgeSplit {
-                u,
-                v,
-                label_u: lu,
-                label_v: lv,
-            });
+        if l as usize == v {
+            fixpoints += 1;
+        } else if l as usize > v && first_above.is_none() {
+            first_above = Some(v);
         }
-        edges_checked += 1;
+        // Edge consistency: labels are constant on connected components.
+        // Edges are visited as `(u, w)` with `u < w` in `CsrGraph::edges`
+        // order, so the first split found is the one that scan finds.
+        if first_split.is_none() {
+            let u = v as Vertex;
+            if let Some(&w) = g
+                .neighbors(u)
+                .iter()
+                .find(|&&w| w > u && labels[w as usize] != l)
+            {
+                first_split = Some(VerifyError::EdgeSplit {
+                    u,
+                    v: w,
+                    label_u: l,
+                    label_v: labels[w as usize],
+                });
+            }
+        }
+    }
+    if let Some(split) = first_split {
+        return Err(split);
     }
 
-    // Independent ground truth: serial BFS component count (and minima
-    // for the canonical check). With edge consistency established, label
-    // classes can only be unions of whole components, so count equality
-    // proves the partitions are identical.
-    let truth = bfs_ground_truth(g);
-    let distinct = labels
-        .iter()
-        .enumerate()
-        .filter(|&(v, &l)| l as usize == v)
-        .count();
-    if distinct != truth.num_components {
+    // Independent ground truth: a serial BFS component count. With edge
+    // consistency established, label classes can only be unions of whole
+    // components, so count equality proves the partitions are identical.
+    let (num_components, _) = bfs_component_count(g);
+    if fixpoints != num_components {
         return Err(VerifyError::ComponentCountMismatch {
-            expected: truth.num_components,
-            got: distinct,
+            expected: num_components,
+            got: fixpoints,
         });
     }
 
+    // With the partition proven, every label is a member of its own class.
+    // The first vertex labeled above itself is then the first non-canonical
+    // vertex, and its component's minimum is itself: a smaller member of
+    // its class, or an earlier non-canonical vertex, would be an earlier
+    // vertex labeled above itself.
     if canonical {
-        for (v, (&l, &min)) in labels.iter().zip(&truth.component_min).enumerate() {
-            if l != min {
-                return Err(VerifyError::NotCanonical {
-                    vertex: v as Vertex,
-                    label: l,
-                    component_min: min,
-                });
-            }
+        if let Some(v) = first_above {
+            return Err(VerifyError::NotCanonical {
+                vertex: v as Vertex,
+                label: labels[v],
+                component_min: v as Vertex,
+            });
         }
     }
 
     Ok(Certificate {
         num_vertices: n,
-        edges_checked,
-        num_components: truth.num_components,
+        edges_checked: g.num_edges(),
+        num_components,
         canonical,
     })
 }
 
-struct GroundTruth {
-    num_components: usize,
-    /// Minimum vertex ID of each vertex's component.
-    component_min: Vec<Vertex>,
+/// Switch thresholds of the direction-optimizing BFS (Beamer, Asanović &
+/// Patterson, SC'12): go bottom-up when the frontier's edges times `ALPHA`
+/// exceed the unexplored edges, and back top-down when the frontier's
+/// vertices times `BETA` fall below the vertex count.
+const ALPHA: usize = 14;
+const BETA: usize = 24;
+
+fn is_set(bits: &[u64], v: usize) -> bool {
+    bits[v / 64] >> (v % 64) & 1 != 0
 }
 
-/// Serial BFS over the CSR graph: intentionally the most boring possible
-/// implementation, independent of `ecl_graph::stats` and every algorithm
-/// under test.
-fn bfs_ground_truth(g: &CsrGraph) -> GroundTruth {
+fn set(bits: &mut [u64], v: usize) {
+    bits[v / 64] |= 1 << (v % 64);
+}
+
+fn clear(bits: &mut [u64], v: usize) {
+    bits[v / 64] &= !(1 << (v % 64));
+}
+
+/// Counts the connected components of `g` with a serial
+/// direction-optimizing BFS from each unvisited vertex in increasing
+/// order, independent of `ecl_graph::stats` and every algorithm under
+/// test. Returns the count and the number of adjacency entries read.
+///
+/// A top-down step expands every frontier vertex's adjacency list. A
+/// bottom-up step instead scans each unvisited vertex's list and stops at
+/// the first frontier member, so on a low-diameter giant component it
+/// reads a small fraction of the adjacency. A step goes bottom-up only
+/// while the frontier grows, and returns top-down only once it shrinks:
+/// on a mesh the frontier never carries enough edges, and every step
+/// stays top-down.
+fn bfs_component_count(g: &CsrGraph) -> (usize, usize) {
     let n = g.num_vertices();
-    let mut component_min = vec![u32::MAX; n];
-    let mut queue: Vec<Vertex> = Vec::new();
-    let mut num_components = 0usize;
+    let (offsets, adj) = (g.offsets(), g.adjacency());
+    let degree = |v: usize| offsets[v + 1] - offsets[v];
+    let mut visited = vec![0u64; n.div_ceil(64)];
+    // Bits past `n` read as visited, so bottom-up steps never scan them.
+    if !n.is_multiple_of(64) {
+        visited[n / 64] = !0 << (n % 64);
+    }
+    let mut in_frontier = vec![0u64; visited.len()];
+    let (mut frontier, mut next) = (Vec::new(), Vec::new());
+    // Adjacency entries of the unvisited vertices and the frontier.
+    let mut unexplored = adj.len();
+    let (mut components, mut entries_read) = (0usize, 0usize);
     for start in 0..n {
-        if component_min[start] != u32::MAX {
+        if is_set(&visited, start) {
             continue;
         }
-        // Vertices are visited in increasing start order, so `start` is
-        // its component's minimum.
-        num_components += 1;
-        let min = start as Vertex;
-        component_min[start] = min;
-        queue.clear();
-        queue.push(start as Vertex);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &w in g.neighbors(u) {
-                if component_min[w as usize] == u32::MAX {
-                    component_min[w as usize] = min;
-                    queue.push(w);
+        components += 1;
+        set(&mut visited, start);
+        frontier.clear();
+        frontier.push(start as Vertex);
+        let (mut bottom_up, mut prev_len) = (false, 0);
+        while !frontier.is_empty() {
+            let len = frontier.len();
+            bottom_up = if bottom_up {
+                !(len < prev_len && len * BETA < n)
+            } else {
+                len > prev_len && {
+                    let frontier_edges: usize = frontier.iter().map(|&u| degree(u as usize)).sum();
+                    frontier_edges * ALPHA > unexplored
+                }
+            };
+            prev_len = len;
+            next.clear();
+            if bottom_up {
+                for &u in &frontier {
+                    set(&mut in_frontier, u as usize);
+                    unexplored -= degree(u as usize);
+                }
+                // Every vertex below `start` is visited already, and fully
+                // visited words are skipped whole.
+                for word in start / 64..visited.len() {
+                    let mut unvisited = !visited[word];
+                    while unvisited != 0 {
+                        let v = word * 64 + unvisited.trailing_zeros() as usize;
+                        unvisited &= unvisited - 1;
+                        let nbrs = &adj[offsets[v]..offsets[v + 1]];
+                        // `CsrGraph`'s edge set is symmetric: a frontier
+                        // member in v's list is an edge from the frontier
+                        // to v, so v joins the next frontier.
+                        match nbrs.iter().position(|&w| is_set(&in_frontier, w as usize)) {
+                            Some(i) => {
+                                entries_read += i + 1;
+                                set(&mut visited, v);
+                                next.push(v as Vertex);
+                            }
+                            None => entries_read += nbrs.len(),
+                        }
+                    }
+                }
+                for &u in &frontier {
+                    clear(&mut in_frontier, u as usize);
+                }
+            } else {
+                for &u in &frontier {
+                    let nbrs = g.neighbors(u);
+                    entries_read += nbrs.len();
+                    unexplored -= nbrs.len();
+                    for &w in nbrs {
+                        if !is_set(&visited, w as usize) {
+                            set(&mut visited, w as usize);
+                            next.push(w);
+                        }
+                    }
                 }
             }
+            std::mem::swap(&mut frontier, &mut next);
         }
     }
-    GroundTruth {
-        num_components,
-        component_min,
-    }
+    (components, entries_read)
 }
 
 /// Validates that `parents` is an acyclic forest: every entry in range
@@ -415,7 +512,7 @@ pub fn validate_star(parents: &[Vertex]) -> Result<usize, VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecl_graph::generate;
+    use ecl_graph::generate::{self, Pcg32};
 
     fn labels_of(g: &CsrGraph) -> Vec<Vertex> {
         ecl_graph::stats::reference_labels(g)
@@ -550,6 +647,164 @@ mod tests {
         // Empty arrays are trivially valid.
         assert_eq!(validate_forest(&[]), Ok(0));
         assert_eq!(validate_star(&[]), Ok(0));
+    }
+
+    /// A seeded corpus covering every graph shape the workspace generates.
+    fn corpus(seed: u64) -> Vec<CsrGraph> {
+        let mut rng = Pcg32::new(seed);
+        let n = 2 + rng.below_usize(300);
+        vec![
+            generate::path(1 + rng.below_usize(80)),
+            generate::cycle(3 + rng.below_usize(80)),
+            generate::disjoint_cliques(1 + rng.below_usize(8), 1 + rng.below_usize(7)),
+            generate::gnm_random(n, rng.below_usize(2 * n), seed),
+            generate::rmat(6 + rng.below(3), 4, generate::RmatParams::GALOIS, seed),
+            generate::road_network(
+                2 + rng.below_usize(20),
+                2 + rng.below_usize(20),
+                0.3,
+                rng.f64(),
+                seed,
+            ),
+            ecl_graph::GraphBuilder::new(0).build(),
+            ecl_graph::GraphBuilder::new(1 + rng.below_usize(20)).build(),
+        ]
+    }
+
+    /// Applies one seeded corruption of the kind `kind` to `labels`.
+    fn corrupt(labels: &mut [Vertex], kind: u32, rng: &mut Pcg32) {
+        let n = labels.len();
+        if n == 0 {
+            return;
+        }
+        let v = rng.below_usize(n);
+        let rep = labels[v];
+        let class: Vec<usize> = (0..n).filter(|&x| labels[x] == rep).collect();
+        match kind {
+            // Single-label flip.
+            0 => labels[v] = rng.below_usize(n) as Vertex,
+            // Out-of-range label.
+            1 => labels[v] = (n + rng.below_usize(3)) as Vertex,
+            // A label that is not a fixpoint, where one exists.
+            2 => {
+                if let Some(u) = (0..n).find(|&u| labels[u] as usize != u) {
+                    labels[v] = u as Vertex;
+                }
+            }
+            // Split a class: a random subset takes a new member as label.
+            3 => {
+                let new_rep = class[rng.below_usize(class.len())];
+                for &x in &class {
+                    if x == new_rep || rng.chance(0.5) {
+                        labels[x] = new_rep as Vertex;
+                    }
+                }
+            }
+            // Merge two classes.
+            4 => {
+                let other = labels[rng.below_usize(n)];
+                for &x in &class {
+                    labels[x] = other;
+                }
+            }
+            // Relabel a class to one of its members, usually not its minimum.
+            _ => {
+                let new_rep = class[rng.below_usize(class.len())] as Vertex;
+                for &x in &class {
+                    labels[x] = new_rep;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_checker_matches_three_pass_oracle() {
+        let (mut cases, mut rejections) = (0usize, 0usize);
+        let mut kinds_seen = std::collections::HashSet::new();
+        for seed in 0..60 {
+            let mut rng = Pcg32::new(1000 + seed);
+            for g in corpus(seed) {
+                let truth = labels_of(&g);
+                for trial in 0..24 {
+                    let mut labels = truth.clone();
+                    // A third of the trials start from a valid non-canonical
+                    // labeling; every trial but the first stacks 1–2
+                    // corruptions.
+                    if trial % 3 == 1 {
+                        corrupt(&mut labels, 5, &mut rng);
+                    }
+                    if trial > 0 {
+                        for _ in 0..1 + rng.below(2) {
+                            let kind = rng.below(6);
+                            corrupt(&mut labels, kind, &mut rng);
+                        }
+                    }
+                    for (canonical, got) in [
+                        (false, certify(&g, &labels)),
+                        (true, certify_canonical(&g, &labels)),
+                    ] {
+                        let want = oracle::certify_three_pass(&g, &labels, canonical);
+                        assert_eq!(got, want, "seed {seed}, trial {trial}, {labels:?}");
+                        cases += 1;
+                        if let Err(e) = got {
+                            rejections += 1;
+                            kinds_seen.insert(std::mem::discriminant(&e));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            cases >= 20_000 && rejections >= cases / 2,
+            "{rejections}/{cases}"
+        );
+        // Range, representative, split, count and canonical witnesses.
+        assert_eq!(kinds_seen.len(), 5);
+    }
+
+    fn disjoint_union(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
+        let shift = a.num_vertices() as Vertex;
+        let mut builder = ecl_graph::GraphBuilder::new(a.num_vertices() + b.num_vertices());
+        builder.extend_edges(a.edges());
+        builder.extend_edges(b.edges().map(|(u, v)| (u + shift, v + shift)));
+        builder.build()
+    }
+
+    /// The share of directed adjacency entries the ground truth reads,
+    /// after checking its count against the reference labeling.
+    fn read_fraction(g: &CsrGraph) -> f64 {
+        let (components, read) = bfs_component_count(g);
+        assert_eq!(components, ecl_graph::stats::count_components(g));
+        read as f64 / g.num_directed_edges() as f64
+    }
+
+    #[test]
+    fn ground_truth_reads_a_fraction_of_low_diameter_giants() {
+        // Plain BFS reads every entry; bottom-up steps must cut that.
+        let social = generate::preferential_attachment(1 << 14, 8, 1);
+        assert!(read_fraction(&social) < 0.25);
+        // A giant component beside many isolated vertices.
+        let kron = generate::kronecker(12, 8, 1);
+        assert!(ecl_graph::stats::count_components(&kron) > 1000);
+        assert!(read_fraction(&kron) < 0.25);
+        // Two disjoint giants, each traversed bottom-up. The first giant's
+        // bottom-up steps scan every vertex of the second without a hit,
+        // so the reads stay near one pass rather than a fraction.
+        let a = generate::preferential_attachment(1 << 13, 8, 2);
+        let b = generate::preferential_attachment(1 << 13, 8, 3);
+        assert!(read_fraction(&disjoint_union(&a, &b)) < 1.3);
+    }
+
+    #[test]
+    fn ground_truth_stays_top_down_on_meshes() {
+        // A bottom-up step on a mesh rescans every unvisited vertex.
+        for g in [
+            generate::road_network(64, 64, 0.2, 1.0, 1),
+            generate::road_network(400, 400, 0.2, 1.0, 2),
+            generate::grid2d(64, 64),
+        ] {
+            assert!(read_fraction(&g) <= 1.3);
+        }
     }
 
     #[test]
