@@ -3,7 +3,7 @@
 //! ```text
 //! harness [EXPERIMENT ...] [--scale tiny|bench|large] [--threads N]
 //!         [--verify] [--json FILE] [--exec serial|parallel[:N]]
-//!         [--sched static|steal] [--trace FILE]
+//!         [--trace FILE]
 //!
 //! Experiments:
 //!   table2  fig7  fig8  table3  table4  fig9  fig10
@@ -39,7 +39,7 @@
 //! *normalized* ratios, which is what these tables reproduce.
 
 use ecl_bench::experiments as exp;
-use ecl_gpu_sim::{DeviceProfile, ExecMode, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode};
 use ecl_graph::catalog::Scale;
 
 fn main() {
@@ -51,7 +51,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut exec = ExecMode::Serial;
-    let mut sched = SchedMode::default();
     let mut fault_plan = ecl_gpu_sim::FaultPlan::serve_chaos(1);
 
     let mut it = args.iter();
@@ -87,21 +86,6 @@ fn main() {
                     },
                     None => {
                         eprintln!("--exec needs serial|parallel[:N]");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--sched" => {
-                sched = match it.next() {
-                    Some(spec) => match SchedMode::parse(spec) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            eprintln!("--sched: {e}");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("--sched needs static|steal");
                         std::process::exit(2);
                     }
                 };
@@ -153,8 +137,6 @@ fn main() {
                 println!("--fault-plan SPEC seeds the serve chaos mix (default serve-chaos:1)");
                 println!("--exec parallel[:N] runs GPU experiments host-parallel (0 = per core);");
                 println!("         timing tables should keep the default serial mode");
-                println!("--sched static|steal picks the host-parallel block scheduler");
-                println!("         (default steal; results are byte-identical either way)");
                 println!("--verify certifies every code's labels with the independent checker");
                 println!("         (outside the timed region) and emits JSON records; --json");
                 println!("         chooses the output file (default bench-verify.json)");
@@ -235,15 +217,15 @@ fn main() {
             "table4" => exp::table4(scale, &titan),
             "fig9" => exp::fig9(scale, &titan),
             "fig10" => exp::fig10(scale, &titan),
-            "table5" => exp::gpu_comparison(scale, &titan, exec, sched),
-            "table6" => exp::gpu_comparison(scale, &k40, exec, sched),
+            "table5" => exp::gpu_comparison(scale, &titan, exec),
+            "table6" => exp::gpu_comparison(scale, &k40, exec),
             "table7" => exp::cpu_parallel_comparison(scale, t_big, "Table 7 / Fig. 13"),
             "table8" => exp::cpu_parallel_comparison(scale, t_small, "Table 8 / Fig. 14"),
             "table9" => exp::serial_comparison(scale, "Table 9 / Fig. 15"),
             "table10" => {
                 exp::serial_comparison(scale, "Table 10 / Fig. 16 (same host; see EXPERIMENTS.md)")
             }
-            "fig17" => exp::fig17(scale, t_big, exec, sched),
+            "fig17" => exp::fig17(scale, t_big, exec),
             "ordering" => exp::ordering(scale, &titan),
             "batch" => records.extend(exp::batch_throughput(t_big)),
             "micro" => records.extend(ecl_bench::microbench::hot_paths()),
@@ -317,7 +299,7 @@ fn main() {
     // runs the certification sweep; `--json` writes whatever records the
     // selected experiments produced.
     if verify || (json_path.is_some() && records.is_empty() && !json_consumed) {
-        records.extend(exp::verify_sweep(scale, t_big, &titan, exec, sched));
+        records.extend(exp::verify_sweep(scale, t_big, &titan, exec));
     }
     if (verify || (json_path.is_some() && !json_consumed)) && !records.is_empty() {
         let path = json_path.unwrap_or_else(|| "bench-verify.json".to_string());

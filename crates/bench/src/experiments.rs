@@ -4,11 +4,11 @@
 
 use crate::report::{BenchRecord, VerifyOutcome};
 use crate::runners::{
-    run_gpu_code, try_run_gpu_code_sched, CertifiedGpuRun, CPU_PAR_CODES, GPU_CODES, SERIAL_CODES,
+    run_gpu_code, try_run_gpu_code, CertifiedGpuRun, CPU_PAR_CODES, GPU_CODES, SERIAL_CODES,
 };
 use crate::{geomean, median_time_ms, paper_graphs, print_table};
 use ecl_cc::{EclConfig, FiniKind, InitKind, JumpKind};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
 use ecl_graph::catalog::Scale;
 use ecl_graph::CsrGraph;
 
@@ -376,14 +376,14 @@ pub fn fig10(scale: Scale, profile: &DeviceProfile) {
 
 /// Tables 5/6 + Figs. 11/12: absolute simulated runtimes of the five GPU
 /// codes, plus each baseline's slowdown relative to ECL-CC.
-pub fn gpu_comparison(scale: Scale, profile: &DeviceProfile, exec: ExecMode, sched: SchedMode) {
+pub fn gpu_comparison(scale: Scale, profile: &DeviceProfile, exec: ExecMode) {
     let graphs = paper_graphs(scale);
     let mut rows = Vec::new();
     let mut rel: Vec<Vec<f64>> = vec![Vec::new(); GPU_CODES.len() - 1];
     for (name, g) in &graphs {
         let times: Vec<f64> = GPU_CODES
             .iter()
-            .map(|&(_, r)| run_gpu_code(r, profile, g, exec, sched))
+            .map(|&(_, r)| run_gpu_code(r, profile, g, exec))
             .collect();
         let mut row = vec![name.to_string()];
         for &t in &times {
@@ -593,14 +593,14 @@ pub fn ordering(scale: Scale, profile: &DeviceProfile) {
 /// converted at the device clock while CPU times are host wall-clock, so
 /// the *cross-family* ratios mix a simulator with real silicon. Ratios
 /// within each family are directly comparable.
-pub fn fig17(scale: Scale, threads: usize, exec: ExecMode, sched: SchedMode) {
+pub fn fig17(scale: Scale, threads: usize, exec: ExecMode) {
     let graphs = paper_graphs(scale);
     let titan = DeviceProfile::titan_x();
 
     // Per-graph baseline: GPU ECL-CC simulated ms.
     let base: Vec<f64> = graphs
         .iter()
-        .map(|(_, g)| run_gpu_code(GPU_CODES[0].1, &titan, g, exec, sched))
+        .map(|(_, g)| run_gpu_code(GPU_CODES[0].1, &titan, g, exec))
         .collect();
 
     // Each entry holds per-graph ratios to the baseline, aligned by graph
@@ -611,7 +611,7 @@ pub fn fig17(scale: Scale, threads: usize, exec: ExecMode, sched: SchedMode) {
         let ratios: Vec<f64> = graphs
             .iter()
             .enumerate()
-            .map(|(i, (_, g))| run_gpu_code(r, &titan, g, exec, sched) / base[i])
+            .map(|(i, (_, g))| run_gpu_code(r, &titan, g, exec) / base[i])
             .collect();
         entries.push((format!("GPU {name}"), ratios));
     }
@@ -662,7 +662,6 @@ pub fn verify_sweep(
     threads: usize,
     profile: &DeviceProfile,
     exec: ExecMode,
-    sched: SchedMode,
 ) -> Vec<BenchRecord> {
     let graphs = crate::quick_graphs(scale);
     let mut records = Vec::new();
@@ -721,7 +720,7 @@ pub fn verify_sweep(
 
     for (gname, g) in &graphs {
         for &(cname, r) in &GPU_CODES {
-            match try_run_gpu_code_sched(r, profile, g, exec, sched) {
+            match try_run_gpu_code(r, profile, g, exec) {
                 Ok(run) => push(
                     &mut records,
                     &mut rows,
@@ -818,10 +817,10 @@ pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
     for (gname, g) in &graphs {
         // Best-of-3 per mode: simulator wall-clock is noisy on a shared
         // host, and the fastest run is the least-perturbed one.
-        let best = |exec: ExecMode, sched: SchedMode| -> CertifiedGpuRun {
+        let best = |exec: ExecMode| -> CertifiedGpuRun {
             let mut runs: Vec<CertifiedGpuRun> = (0..3)
                 .map(|_| {
-                    try_run_gpu_code_sched(GPU_CODES[0].1, &profile, g, exec, sched)
+                    try_run_gpu_code(GPU_CODES[0].1, &profile, g, exec)
                         .expect("ECL-CC must certify in every exec mode")
                 })
                 .collect();
@@ -830,7 +829,7 @@ pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
         };
         let edges_per_sec = |wall_ms: f64| g.num_edges() as f64 / (wall_ms.max(1e-9) / 1e3);
 
-        let serial = best(ExecMode::Serial, SchedMode::default());
+        let serial = best(ExecMode::Serial);
         let mut row = vec![gname.to_string(), format!("{:.2}", serial.wall_ms)];
         records.push(BenchRecord {
             experiment: "simspeed".into(),
@@ -847,51 +846,35 @@ pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
             sim_edges_per_sec: Some(edges_per_sec(serial.wall_ms)),
             device: profile.name.to_string(),
             exec: ExecMode::Serial.describe(),
-            ..Default::default()
         });
 
         for (wi, &w) in matrix.iter().enumerate() {
-            // Both block schedulers at every worker count. The stealing
-            // scheduler keeps the historical `sim-parallel:N` record name
-            // (it is the default); static bucketing records as
-            // `sim-static:N`. Labels from both must match serial byte for
-            // byte — that equality is the scheduler's correctness gate.
-            for sched in [SchedMode::Steal, SchedMode::Static] {
-                let par = best(ExecMode::HostParallel(w), sched);
-                assert_eq!(
-                    par.labels,
-                    serial.labels,
-                    "{gname}: host-parallel:{w} ({}) labels diverged from serial",
-                    sched.describe()
-                );
-                let speedup = serial.wall_ms / par.wall_ms.max(1e-9);
-                let code = match sched {
-                    SchedMode::Steal => format!("sim-parallel:{w}"),
-                    SchedMode::Static => format!("sim-static:{w}"),
-                };
-                if sched == SchedMode::Steal {
-                    speedups[wi].push(speedup);
-                    row.push(format!("{:.2} ({speedup:.2}x)", par.wall_ms));
-                }
-                records.push(BenchRecord {
-                    experiment: "simspeed".into(),
-                    graph: gname.to_string(),
-                    code,
-                    time_ms: par.wall_ms,
-                    simulated: false,
-                    verified: Some(VerifyOutcome {
-                        pass: true,
-                        components: par.certificate.num_components,
-                        detail: String::new(),
-                    }),
-                    speedup_vs_serial: Some(speedup),
-                    sim_edges_per_sec: Some(edges_per_sec(par.wall_ms)),
-                    steal_count: Some(par.steal_count),
-                    blocks_stolen_pct: Some(par.blocks_stolen_pct()),
-                    device: profile.name.to_string(),
-                    exec: ExecMode::HostParallel(w).describe(),
-                });
-            }
+            // Labels must match serial byte for byte — that equality is
+            // the host-parallel scheduler's correctness gate.
+            let par = best(ExecMode::HostParallel(w));
+            assert_eq!(
+                par.labels, serial.labels,
+                "{gname}: host-parallel:{w} labels diverged from serial"
+            );
+            let speedup = serial.wall_ms / par.wall_ms.max(1e-9);
+            speedups[wi].push(speedup);
+            row.push(format!("{:.2} ({speedup:.2}x)", par.wall_ms));
+            records.push(BenchRecord {
+                experiment: "simspeed".into(),
+                graph: gname.to_string(),
+                code: format!("sim-parallel:{w}"),
+                time_ms: par.wall_ms,
+                simulated: false,
+                verified: Some(VerifyOutcome {
+                    pass: true,
+                    components: par.certificate.num_components,
+                    detail: String::new(),
+                }),
+                speedup_vs_serial: Some(speedup),
+                sim_edges_per_sec: Some(edges_per_sec(par.wall_ms)),
+                device: profile.name.to_string(),
+                exec: ExecMode::HostParallel(w).describe(),
+            });
         }
         rows.push(row);
     }
@@ -904,8 +887,7 @@ pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     print_table(
         "simspeed — simulator wall-clock, serial vs host-parallel worker \
-         matrix (work-stealing scheduler; static-bucket records in the \
-         JSON), labels certified identical",
+         matrix, labels certified identical",
         &header_refs,
         &rows,
     );

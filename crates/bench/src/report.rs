@@ -41,12 +41,6 @@ pub struct BenchRecord {
     /// Simulated edges processed per host wall-clock second — the
     /// simulator-throughput metric (omitted from the JSON when `None`).
     pub sim_edges_per_sec: Option<f64>,
-    /// Schedulable units stolen by the work-stealing scheduler (simspeed
-    /// experiment only; omitted from the JSON when `None`).
-    pub steal_count: Option<u64>,
-    /// Percentage of schedulable units that were stolen (omitted from
-    /// the JSON when `None`).
-    pub blocks_stolen_pct: Option<f64>,
     /// Device profile name for simulated runs (`"host"` for CPU codes).
     pub device: String,
     /// Execution mode the simulator ran under (`"serial"`,
@@ -84,12 +78,6 @@ impl BenchRecord {
         }
         if let Some(e) = self.sim_edges_per_sec {
             extra.push_str(&format!(",\"sim_edges_per_sec\":{}", json_f64(e)));
-        }
-        if let Some(c) = self.steal_count {
-            extra.push_str(&format!(",\"steal_count\":{c}"));
-        }
-        if let Some(p) = self.blocks_stolen_pct {
-            extra.push_str(&format!(",\"blocks_stolen_pct\":{}", json_f64(p)));
         }
         format!(
             "{{\"experiment\":\"{}\",\"graph\":\"{}\",\"code\":\"{}\",\
@@ -150,8 +138,6 @@ mod tests {
             }),
             speedup_vs_serial: None,
             sim_edges_per_sec: None,
-            steal_count: None,
-            blocks_stolen_pct: None,
             device: "titan-x".into(),
             exec: "serial".into(),
         }
@@ -206,18 +192,6 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"speedup_vs_serial\":1.25"));
         assert!(j.contains("\"sim_edges_per_sec\":2000000"));
-    }
-
-    #[test]
-    fn optional_scheduler_fields() {
-        let mut r = record();
-        assert!(!r.to_json().contains("steal_count"));
-        assert!(!r.to_json().contains("blocks_stolen_pct"));
-        r.steal_count = Some(12);
-        r.blocks_stolen_pct = Some(37.5);
-        let j = r.to_json();
-        assert!(j.contains("\"steal_count\":12"));
-        assert!(j.contains("\"blocks_stolen_pct\":37.5"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! drivers can iterate over codes by name.
 
 use ecl_cc::{CcResult, EclConfig};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
 use ecl_graph::CsrGraph;
 
 /// One GPU code: returns the labeling and total simulated cycles.
@@ -61,23 +61,6 @@ pub struct CertifiedGpuRun {
     /// Certificate from the independent checker (issued *outside* the
     /// timed region — certification never contributes to `ms`).
     pub certificate: ecl_verify::Certificate,
-    /// Schedulable units (non-empty SM slots) dispatched across all
-    /// launches of the run. Zero in serial mode.
-    pub sched_units: u64,
-    /// Units executed by a worker other than the one they were dealt to
-    /// (work-stealing scheduler only; zero for static and serial).
-    pub steal_count: u64,
-}
-
-impl CertifiedGpuRun {
-    /// Fraction of schedulable units that were stolen, in percent.
-    pub fn blocks_stolen_pct(&self) -> f64 {
-        if self.sched_units == 0 {
-            0.0
-        } else {
-            100.0 * self.steal_count as f64 / self.sched_units as f64
-        }
-    }
 }
 
 /// Runs one GPU code on a fresh device of the given profile and certifies
@@ -90,20 +73,8 @@ pub fn try_run_gpu_code(
     g: &CsrGraph,
     exec: ExecMode,
 ) -> Result<CertifiedGpuRun, String> {
-    try_run_gpu_code_sched(runner, profile, g, exec, SchedMode::default())
-}
-
-/// [`try_run_gpu_code`] with an explicit host-parallel block scheduler.
-pub fn try_run_gpu_code_sched(
-    runner: GpuRunner,
-    profile: &DeviceProfile,
-    g: &CsrGraph,
-    exec: ExecMode,
-    sched: SchedMode,
-) -> Result<CertifiedGpuRun, String> {
     let mut gpu = Gpu::new(profile.clone());
     gpu.set_exec_mode(exec);
-    gpu.set_sched_mode(sched);
     let wall = std::time::Instant::now();
     let (r, cycles) = runner(&mut gpu, g);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
@@ -114,8 +85,6 @@ pub fn try_run_gpu_code_sched(
         wall_ms,
         labels: r.labels,
         certificate,
-        sched_units: gpu.sched_unit_count(),
-        steal_count: gpu.steal_count(),
     })
 }
 
@@ -126,9 +95,8 @@ pub fn run_gpu_code(
     profile: &DeviceProfile,
     g: &CsrGraph,
     exec: ExecMode,
-    sched: SchedMode,
 ) -> f64 {
-    match try_run_gpu_code_sched(runner, profile, g, exec, sched) {
+    match try_run_gpu_code(runner, profile, g, exec) {
         Ok(run) => run.ms,
         Err(e) => panic!("{e}"),
     }
@@ -205,13 +173,7 @@ mod tests {
     fn every_gpu_code_runs_and_verifies() {
         let g = generate::gnm_random(200, 500, 1);
         for (name, r) in GPU_CODES {
-            let ms = run_gpu_code(
-                r,
-                &DeviceProfile::test_tiny(),
-                &g,
-                ExecMode::Serial,
-                SchedMode::default(),
-            );
+            let ms = run_gpu_code(r, &DeviceProfile::test_tiny(), &g, ExecMode::Serial);
             assert!(ms > 0.0, "{name}");
         }
     }
@@ -229,19 +191,6 @@ mod tests {
                 par.certificate.num_components,
                 serial.certificate.num_components
             );
-        }
-    }
-
-    #[test]
-    fn ecl_labels_identical_across_sched_modes() {
-        let g = generate::gnm_random(300, 900, 4);
-        let profile = DeviceProfile::test_tiny();
-        let serial = try_run_gpu_code(gpu_ecl, &profile, &g, ExecMode::Serial).unwrap();
-        for sched in [SchedMode::Static, SchedMode::Steal] {
-            let par =
-                try_run_gpu_code_sched(gpu_ecl, &profile, &g, ExecMode::HostParallel(4), sched)
-                    .unwrap();
-            assert_eq!(par.labels, serial.labels, "sched={sched:?}");
         }
     }
 

@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use ecl_cc::{CcResult, EclConfig, SamplingConfig};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
 use ecl_graph::{io, CsrGraph};
 use std::path::Path;
 
@@ -154,33 +154,21 @@ pub const ALGORITHMS: &[&str] = &[
 
 /// Runs the named algorithm; `Err` on unknown names or refusals.
 pub fn run_algorithm(name: &str, g: &CsrGraph, threads: usize) -> Result<CcResult, String> {
-    run_algorithm_ex(name, g, threads, ExecMode::Serial, SchedMode::default())
+    run_algorithm_cfg(name, g, threads, ExecMode::Serial, None)
 }
 
-/// [`run_algorithm`] with an explicit GPU-simulator execution mode.
-/// Non-GPU algorithms ignore `exec`; GPU baselines stay serial (their
-/// per-kernel timing is the point of running them).
-pub fn run_algorithm_ex(
-    name: &str,
-    g: &CsrGraph,
-    threads: usize,
-    exec: ExecMode,
-    sched: SchedMode,
-) -> Result<CcResult, String> {
-    run_algorithm_cfg(name, g, threads, exec, sched, None)
-}
-
-/// [`run_algorithm_ex`] with an optional adaptive-sampling configuration.
-/// Sampling applies to the three ECL-CC implementations (`serial`,
-/// `parallel`, `gpu`); requesting it with a baseline algorithm is an
-/// error — the baselines have no sampling variant, and silently ignoring
-/// the flag would invalidate comparisons.
+/// [`run_algorithm`] with an explicit GPU-simulator execution mode and an
+/// optional adaptive-sampling configuration. Non-GPU algorithms ignore
+/// `exec`; GPU baselines stay serial (their per-kernel timing is the
+/// point of running them). Sampling applies to the three ECL-CC
+/// implementations (`serial`, `parallel`, `gpu`); requesting it with a
+/// baseline algorithm is an error — the baselines have no sampling
+/// variant, and silently ignoring the flag would invalidate comparisons.
 pub fn run_algorithm_cfg(
     name: &str,
     g: &CsrGraph,
     threads: usize,
     exec: ExecMode,
-    sched: SchedMode,
     sampling: Option<SamplingConfig>,
 ) -> Result<CcResult, String> {
     if sampling.is_some() && !matches!(name, "serial" | "parallel" | "gpu") {
@@ -204,7 +192,6 @@ pub fn run_algorithm_cfg(
         "gpu" => {
             let mut gpu = Gpu::new(DeviceProfile::titan_x());
             gpu.set_exec_mode(exec);
-            gpu.set_sched_mode(sched);
             ecl_cc::gpu::run(&mut gpu, g, &cfg).0
         }
         "soman" => gpu_run(ecl_baselines::gpu::soman::run),
@@ -255,16 +242,7 @@ pub fn run_ladder_ex(
     fault: FaultPlan,
     exec: ExecMode,
 ) -> Result<ecl_cc::LadderOutcome, String> {
-    run_ladder_obs(
-        g,
-        threads,
-        watchdog,
-        fault,
-        exec,
-        SchedMode::default(),
-        None,
-        None,
-    )
+    run_ladder_obs(g, threads, watchdog, fault, exec, None, None)
 }
 
 /// [`run_ladder_ex`] with an optional observability recorder and
@@ -273,14 +251,12 @@ pub fn run_ladder_ex(
 /// spans, and with `sampling` set tries the adaptive pipeline on every
 /// rung first, re-walking the ladder without sampling only if the whole
 /// adaptive pass fails certification.
-#[allow(clippy::too_many_arguments)]
 pub fn run_ladder_obs(
     g: &CsrGraph,
     threads: usize,
     watchdog: Option<u64>,
     fault: FaultPlan,
     exec: ExecMode,
-    sched: SchedMode,
     recorder: Option<ecl_obs::Recorder>,
     sampling: Option<SamplingConfig>,
 ) -> Result<ecl_cc::LadderOutcome, String> {
@@ -293,7 +269,6 @@ pub fn run_ladder_obs(
         watchdog,
         fault,
         exec,
-        sched,
         profile: DeviceProfile::titan_x(),
         recorder,
         ..ecl_cc::LadderConfig::default()
@@ -313,7 +288,6 @@ pub fn run_sharded_obs(
     watchdog: Option<u64>,
     fault: FaultPlan,
     exec: ExecMode,
-    sched: SchedMode,
     checkpoint_dir: Option<std::path::PathBuf>,
     crash_budget: u32,
     recorder: Option<ecl_obs::Recorder>,
@@ -329,7 +303,6 @@ pub fn run_sharded_obs(
         watchdog,
         fault,
         exec,
-        sched,
         profile: DeviceProfile::titan_x(),
         checkpoint_dir,
         crash_budget,
@@ -349,30 +322,18 @@ pub fn run_gpu_with_fault(
     watchdog: Option<u64>,
     exec: ExecMode,
 ) -> Result<CcResult, String> {
-    run_gpu_observed(
-        g,
-        fault,
-        watchdog,
-        exec,
-        SchedMode::default(),
-        false,
-        None,
-        None,
-    )
-    .map(|(r, _)| r)
+    run_gpu_observed(g, fault, watchdog, exec, false, None, None).map(|(r, _)| r)
 }
 
 /// Runs ECL-CC on the simulated GPU and returns the run statistics
 /// alongside the labeling. `record_paths` enables the Table 4
 /// parent-path-length probes; `recorder` (when enabled) receives
 /// per-kernel spans and simulator metrics.
-#[allow(clippy::too_many_arguments)]
 pub fn run_gpu_observed(
     g: &CsrGraph,
     fault: FaultPlan,
     watchdog: Option<u64>,
     exec: ExecMode,
-    sched: SchedMode,
     record_paths: bool,
     recorder: Option<ecl_obs::Recorder>,
     sampling: Option<SamplingConfig>,
@@ -381,7 +342,6 @@ pub fn run_gpu_observed(
     gpu.set_fault_plan(fault);
     gpu.set_watchdog(watchdog);
     gpu.set_exec_mode(exec);
-    gpu.set_sched_mode(sched);
     gpu.set_recorder(recorder);
     let cfg = EclConfig {
         record_path_lengths: record_paths,
@@ -534,7 +494,6 @@ mod tests {
                 &g,
                 2,
                 ExecMode::Serial,
-                SchedMode::default(),
                 Some(SamplingConfig::with_k(2)),
             )
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
@@ -550,7 +509,6 @@ mod tests {
             &g,
             1,
             ExecMode::Serial,
-            SchedMode::default(),
             Some(SamplingConfig::default()),
         )
         .unwrap_err();

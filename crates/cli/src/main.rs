@@ -5,7 +5,7 @@ use ecl_cc_cli::{
     generate_catalog, parse_label_file, read_graph, run_algorithm, run_algorithm_cfg,
     run_gpu_observed, run_ladder_obs, write_graph, Format, ALGORITHMS,
 };
-use ecl_gpu_sim::{ExecMode, FaultPlan, SchedMode};
+use ecl_gpu_sim::{ExecMode, FaultPlan};
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -16,8 +16,7 @@ usage: ecl-cc <command> [args]
 commands:
   components <file> [--algo NAME|auto] [--threads N] [--format F] [--labels OUT]
              [--watchdog CYCLES] [--fault-plan SPEC] [--sim-workers N]
-             [--sched static|steal] [--trace FILE] [--stats] [--shards N]
-             [--shard-chaos SPEC]
+             [--trace FILE] [--stats] [--shards N] [--shard-chaos SPEC]
              [--shard-ckpt DIR] [--crash-budget N] [--sampling K]
       label connected components (default algo: parallel); `--algo auto`
       runs the fallback ladder (simulated GPU -> multicore CPU -> serial),
@@ -29,9 +28,6 @@ commands:
       --sim-workers N runs the simulated GPU host-parallel on N threads
       (0 = one per core) — labels stay certified-identical, cycle counts
       become indicative only; omit it for deterministic serial timing;
-      --sched picks the host-parallel block scheduler: steal (default,
-      work-stealing deques) or static (fixed SM buckets) — results are
-      byte-identical either way;
       --trace FILE writes a Chrome trace (kernel + ladder spans);
       --stats prints per-kernel cycles and parent-path-length stats
       (gpu algo only); --shards N edge-cuts the graph across N simulated
@@ -51,8 +47,8 @@ commands:
         [--journal FILE] [--resume FILE] [--results DIR] [--report FILE]
         [--fault-plan SPEC] [--watchdog CYCLES] [--threads N] [--reject-full]
         [--breaker-threshold N] [--breaker-cooldown-ms MS] [--breaker-probes N]
-        [--kill-after N] [--sim-workers N] [--sched static|steal]
-        [--shards N] [--trace FILE] [--sampling K]
+        [--kill-after N] [--sim-workers N] [--shards N] [--trace FILE]
+        [--sampling K]
       run a batch of CC jobs (one `<name> <graph-spec>` per line in FILE)
       through the certified fallback ladder on a worker pool, with
       retry/backoff, per-backend circuit breakers, and a crash-safe
@@ -69,7 +65,8 @@ commands:
         [--max-conns N] [--idle-timeout-ms MS] [--snapshot-every N]
         [--workers N] [--queue N] [--deadline-ms MS] [--metrics FILE]
         [--metrics-every SECS] [--trace FILE] [--flight-dir DIR]
-        [--no-telemetry] [--debug-poison-after N]
+        [--no-telemetry] [--debug-poison-after N] [--threads N]
+        [--sim-workers N]
       run the connectivity-as-a-service TCP server (ECL/1 line protocol:
       ADD/CONN/COMP/STATS/METRICS/SUBMIT/JOB/PING/QUIT/SHUTDOWN); every
       acknowledged ADD is fsync'd to a write-ahead log in --dir before
@@ -101,7 +98,7 @@ commands:
       consistency, representative fixpoints, component count vs BFS
   stats <file> [--format F]
       print the graph's Table-2 statistics
-  generate <catalog-name> -o <file> [--scale tiny|bench|large]
+  generate <catalog-name> -o <file> [--scale tiny|bench|large] [--format F]
       write a synthetic stand-in for one of the paper's inputs
   convert <in> <out> [--in-format F] [--out-format F]
       transcode between graph formats (.el .gr .mtx .ecl)
@@ -120,6 +117,44 @@ fn main() {
     if let Err(e) = dispatch(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+/// The `--flags` that `cmd`'s USAGE entry lists: every `--` token on its
+/// synopsis, i.e. the command line and its deeper-indented continuation
+/// lines (descriptions are indented six spaces). `None` for a command
+/// USAGE does not know.
+fn usage_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let mut lines = USAGE.lines().skip_while(|l| {
+        l.strip_prefix("  ")
+            .and_then(|rest| rest.strip_prefix(cmd))
+            .is_none_or(|rest| !(rest.is_empty() || rest.starts_with(' ')))
+    });
+    let head = lines.next()?;
+    let synopsis = std::iter::once(head).chain(lines.take_while(|l| l.starts_with("       ")));
+    Some(
+        synopsis
+            .flat_map(str::split_whitespace)
+            .map(|t| t.trim_start_matches('['))
+            .filter(|t| t.starts_with("--"))
+            .map(|t| t.trim_end_matches([']', '.']))
+            .collect(),
+    )
+}
+
+/// Fails on the first `--flag` that `cmd`'s USAGE entry does not list,
+/// so a misspelled or retired flag is an error instead of silently
+/// running with defaults.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let Some(known) = usage_flags(cmd) else {
+        return Ok(());
+    };
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(bad) => Err(format!("unknown flag '{bad}' for {cmd}")),
+        None => Ok(()),
     }
 }
 
@@ -154,6 +189,7 @@ fn positional(args: &[String], n: usize) -> Result<PathBuf, String> {
 }
 
 fn dispatch(args: &[String]) -> Result<(), String> {
+    check_flags(&args[0], &args[1..])?;
     let threads: usize = flag(args, "--threads")
         .map(|t| t.parse().map_err(|e| format!("--threads: {e}")))
         .transpose()?
@@ -166,12 +202,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("--sim-workers: {e} (use 0 for one per core)"))?,
         ),
         None => ExecMode::Serial,
-    };
-    // Host-parallel block scheduler: work-stealing deques unless --sched
-    // asks for static SM bucketing. Results are identical either way.
-    let sim_sched: SchedMode = match flag(args, "--sched") {
-        Some(v) => SchedMode::parse(&v).map_err(|e| format!("--sched: {e}"))?,
-        None => SchedMode::default(),
     };
     // Adaptive sampling: --sampling K hooks only the first K neighbors,
     // short-circuits the giant component, then finishes the remainder.
@@ -238,7 +268,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     watchdog,
                     plan,
                     sim_exec,
-                    sim_sched,
                     ckpt,
                     budget,
                     recorder.clone(),
@@ -276,7 +305,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     watchdog,
                     fault,
                     sim_exec,
-                    sim_sched,
                     recorder.clone(),
                     sampling,
                 )?;
@@ -301,7 +329,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     fault,
                     watchdog,
                     sim_exec,
-                    sim_sched,
                     want_stats,
                     recorder.clone(),
                     sampling,
@@ -314,7 +341,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 (r, how, Some(stats))
             } else {
                 let span_start = recorder.as_ref().map(Recorder::now_us);
-                let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sim_sched, sampling)?;
+                let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sampling)?;
                 if let (Some(rec), Some(start)) = (&recorder, span_start) {
                     rec.record(TraceEvent::span(
                         &format!("components:{algo}"),
@@ -376,7 +403,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 let md = [
                     ("tool".to_string(), "ecl-cc components".to_string()),
                     ("exec".to_string(), sim_exec.describe()),
-                    ("sched".to_string(), sim_sched.describe().to_string()),
                 ];
                 std::fs::write(out, rec.chrome_trace_json(&md))
                     .map_err(|e| format!("{out}: {e}"))?;
@@ -467,7 +493,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 let md = [
                     ("tool".to_string(), "ecl-cc batch".to_string()),
                     ("exec".to_string(), sim_exec.describe()),
-                    ("sched".to_string(), sim_sched.describe().to_string()),
                 ];
                 std::fs::write(out, rec.chrome_trace_json(&md))
                     .map_err(|e| format!("{out}: {e}"))?;
@@ -536,7 +561,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             cfg.jobs.deadline_ms = parse_u64("--deadline-ms")?;
             cfg.jobs.ladder.threads = threads;
             cfg.jobs.ladder.exec = sim_exec;
-            cfg.jobs.ladder.sched = sim_sched;
             if let Some(m) = flag(args, "--metrics") {
                 cfg.metrics_path = Some(PathBuf::from(m));
                 cfg.recorder = Recorder::new();
@@ -577,7 +601,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 }
                 None => {
                     let algo = flag(args, "--algo").unwrap_or_else(|| "parallel".into());
-                    let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sim_sched, sampling)?;
+                    let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sampling)?;
                     (r.labels, format!("algorithm `{algo}`"))
                 }
             };
@@ -670,5 +694,45 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(args: &[&str]) -> Result<(), String> {
+        dispatch(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn usage_flags_cover_synopsis_continuations() {
+        let components = usage_flags("components").unwrap();
+        for f in [
+            "--algo",
+            "--format",
+            "--sim-workers",
+            "--shard-chaos",
+            "--sampling",
+        ] {
+            assert!(components.contains(&f), "{f} missing from {components:?}");
+        }
+        assert!(usage_flags("batch").unwrap().contains(&"--sampling"));
+        assert!(usage_flags("profile").unwrap().contains(&"--graph"));
+        assert!(usage_flags("list").unwrap().is_empty());
+        assert!(usage_flags("nope").is_none());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = run(&["components", "g.el", "--algo", "gpu", "--sim-wokers", "4"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--sim-wokers' for components");
+        let err = run(&["components", "g.el", "--sched", "static"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--sched' for components");
+        let err = run(&["batch", "--jobs", "j.txt", "--sched", "steal"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--sched' for batch");
+        // A flag valid for one command is still unknown to another.
+        let err = run(&["stats", "g.el", "--shards", "2"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--shards' for stats");
     }
 }

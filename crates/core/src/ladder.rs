@@ -23,7 +23,7 @@ use crate::config::EclConfig;
 use crate::error::EclError;
 use crate::result::CcResult;
 use crate::{gpu, parallel, serial};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
 use ecl_graph::CsrGraph;
 use ecl_verify::Certificate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,11 +74,6 @@ pub struct LadderConfig {
     /// determinism for wall-clock throughput — safe here because every
     /// ladder answer is certified before being accepted.
     pub exec: ExecMode,
-    /// Block scheduler for host-parallel GPU launches: static SM
-    /// bucketing or the work-stealing deques (the default). Irrelevant to
-    /// results — both schedules are byte-identical — so this is a pure
-    /// throughput knob.
-    pub sched: SchedMode,
     /// Observability recorder. When present and enabled, the ladder
     /// emits one wall-clock span per attempt (the attempt chain) and the
     /// GPU stage forwards the recorder to the simulated device for
@@ -103,7 +98,6 @@ impl Default for LadderConfig {
             fault: FaultPlan::none(),
             watchdog: None,
             exec: ExecMode::Serial,
-            sched: SchedMode::default(),
             recorder: None,
             trace: None,
         }
@@ -330,7 +324,6 @@ fn run_stage(
                 device.set_fault_plan(plan);
                 device.set_watchdog(cfg.watchdog);
                 device.set_exec_mode(cfg.exec);
-                device.set_sched_mode(cfg.sched);
                 device.set_recorder(cfg.recorder.clone());
                 device.set_trace_ctx(attempt_ctx);
                 gpu::try_run(&mut device, g, cc).map(|(r, _)| r)

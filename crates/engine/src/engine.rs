@@ -687,7 +687,6 @@ fn process_job_sharded(
             fault,
             watchdog: cfg.ladder.watchdog,
             exec: shared.exec,
-            sched: cfg.ladder.sched,
             threads: cfg.ladder.threads,
             recorder: shared.recorder().cloned(),
             ..ecl_shard::ShardConfig::default()

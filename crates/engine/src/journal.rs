@@ -5,7 +5,8 @@
 //! * **Per-job result files** are written with the classic
 //!   write-temp-then-rename dance: the labels land in
 //!   `<results>/.tmp-job-<id>`, are fsync'd, and only then renamed to
-//!   `<results>/job-<id>.labels`. A kill can leave a stale temp file
+//!   `<results>/job-<id>.labels` (then the directory is fsync'd, see
+//!   [`write_atomic`]). A kill can leave a stale temp file
 //!   behind but never a torn final file.
 //! * **The journal** is an append-only, line-oriented log. Each
 //!   completed job appends one `done` line *after* its result file is in
@@ -160,33 +161,7 @@ fn parse_done_line(line: &str) -> Option<JournalEntry> {
     }
 }
 
-/// FNV-1a 64-bit hash — the digest pinning result files to journal
-/// entries (fast, dependency-free; not cryptographic, and does not need
-/// to be: it detects torn writes, not adversaries).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename. Readers never observe a partial file.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp: PathBuf = dir.join(format!(".tmp-{}", name.to_string_lossy()));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
+pub use ecl_obs::durable::{fnv1a, write_atomic};
 
 /// The result-file path for a job id inside a results directory.
 pub fn result_path(results_dir: &Path, job_id: u64) -> PathBuf {

@@ -19,8 +19,8 @@
 //! (the journal additionally pins a digest of the parsed job list, so a
 //! *changed* jobs file is rejected instead of silently misinterpreted).
 
-use crate::journal::fnv1a;
 use ecl_graph::{generate, io, CsrGraph};
+use ecl_obs::durable::fnv1a;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

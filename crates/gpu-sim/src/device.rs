@@ -15,10 +15,9 @@ use crate::error::{SimError, WatchdogAbort};
 use crate::fault::{FaultPlan, FaultRng};
 use crate::mem::{DevicePtr, GlobalMemory};
 use crate::profile::DeviceProfile;
-use crate::sched::{SchedMode, StealResult, WorkDeque};
 use crate::warp::{BlockCtx, SmView, WarpCtx};
 use crate::{Lanes, LANES};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 std::thread_local! {
@@ -289,8 +288,6 @@ pub struct Gpu {
     pub(crate) launch_start_sm: Vec<u64>,
     launch_index: u64,
     exec: ExecMode,
-    /// How host-parallel launches distribute SM slots over workers.
-    sched: SchedMode,
     /// Test/tuning override for the detected host parallelism; `None`
     /// (default) uses `std::thread::available_parallelism`.
     host_threads_override: Option<usize>,
@@ -298,12 +295,6 @@ pub struct Gpu {
     /// first use, parked on a channel between launches, reused across
     /// kernels, joined when the device drops.
     pool: WorkerPool,
-    /// Cumulative work units (SM slots with at least one warp/block)
-    /// scheduled by host-parallel launches since the last profiling reset.
-    sched_units: u64,
-    /// Cumulative units claimed by a steal (rather than popped from the
-    /// owner's deque) since the last profiling reset.
-    steals: u64,
     /// Per-launch scratch for the warp/block execution order, reused
     /// across launches to avoid a fresh allocation per kernel.
     warp_order: Vec<usize>,
@@ -492,21 +483,21 @@ struct ParallelLaunch<R> {
     fault: FaultPlan,
     watchdog: Option<u64>,
     launch: u64,
-    sched: SchedMode,
     /// One cell per SM, in SM order. A slot is taken out by exactly one
-    /// worker (whoever pops or steals its index), run to completion, and
-    /// put back — so each lock is acquired twice, uncontended.
+    /// worker (whoever claims its index), run to completion, and put
+    /// back — so each lock is acquired twice, uncontended.
     slots: Vec<Mutex<Option<SmSlot>>>,
-    /// One work-stealing deque per worker, seeded with slot indices.
-    deques: Vec<WorkDeque>,
-    /// Seeded round-robin start victim per worker, fixed for the launch.
-    victim_start: Vec<usize>,
+    /// Indices of the slots that have work, in SM order.
+    pending: Vec<usize>,
+    /// Next position in `pending` to hand out; one shared dispatch
+    /// order, like the hardware block scheduler. `Relaxed` suffices: an
+    /// index publishes no data — each slot travels through its own
+    /// mutex, and `pending` is fixed before any worker starts.
+    cursor: AtomicUsize,
     run_item: R,
     abort: AtomicBool,
     /// First abort payload (watchdog / OOB / kernel bug) wins.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Slots claimed via steal rather than a local pop.
-    steals: AtomicU64,
 }
 
 impl<R> ParallelLaunch<R>
@@ -516,10 +507,10 @@ where
     /// Worker entry point: drains work under the launch guard, catching
     /// aborts so the first payload is preserved for classification and
     /// the other workers stop at their next item boundary.
-    fn run_worker(&self, w: usize) {
+    fn run_worker(&self) {
         let _scope = TryLaunchScope::enter();
         if let Err(payload) =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.work_loop(w)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.work_loop()))
         {
             self.abort.store(true, Ordering::Relaxed);
             if let Ok(mut first) = self.panic.lock() {
@@ -530,47 +521,17 @@ where
         }
     }
 
-    /// Pop local slots LIFO; when dry (and stealing is enabled), sweep
-    /// victims round-robin from this worker's seeded start. Terminates
-    /// when every deque reads empty with no steal race in flight — all
-    /// pushes happen before workers start, so that state is final.
-    fn work_loop(&self, w: usize) {
-        let n = self.deques.len();
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
+    /// Claims the next pending slot from the shared cursor until the
+    /// list runs out or another worker aborted.
+    fn work_loop(&self) {
+        while !self.abort.load(Ordering::Relaxed) {
+            let Some(&idx) = self
+                .pending
+                .get(self.cursor.fetch_add(1, Ordering::Relaxed))
+            else {
                 return;
-            }
-            if let Some(idx) = self.deques[w].pop() {
-                self.run_slot(idx as usize);
-                continue;
-            }
-            if self.sched == SchedMode::Static {
-                return;
-            }
-            let mut stolen = None;
-            let mut saw_retry = false;
-            for k in 0..n {
-                let v = (self.victim_start[w] + k) % n;
-                if v == w {
-                    continue;
-                }
-                match self.deques[v].steal() {
-                    StealResult::Taken(idx) => {
-                        stolen = Some(idx);
-                        break;
-                    }
-                    StealResult::Retry => saw_retry = true,
-                    StealResult::Empty => {}
-                }
-            }
-            match stolen {
-                Some(idx) => {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    self.run_slot(idx as usize);
-                }
-                None if saw_retry => std::hint::spin_loop(),
-                None => return,
-            }
+            };
+            self.run_slot(idx);
         }
     }
 
@@ -660,11 +621,8 @@ impl Gpu {
             launch_start_sm,
             launch_index: 0,
             exec: ExecMode::Serial,
-            sched: SchedMode::default(),
             host_threads_override: None,
             pool: WorkerPool::new(),
-            sched_units: 0,
-            steals: 0,
             warp_order: Vec::new(),
             parallel_items: Vec::new(),
             recorder: None,
@@ -768,43 +726,14 @@ impl Gpu {
         self.exec
     }
 
-    /// Selects how host-parallel launches distribute SM slots over
-    /// workers (see [`SchedMode`]; the default is work stealing). Results
-    /// — labels, per-SM cycles, cache stats, fault draws — are identical
-    /// in both modes; only wall-clock load balance differs. Serial mode
-    /// ignores the scheduler entirely.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched = mode;
-    }
-
-    /// The active host-parallel scheduler mode.
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched
-    }
-
     /// Overrides (or with `None` restores) the detected host parallelism
     /// used to size the worker pool. A test/tuning knob: values above the
     /// physical core count oversubscribe the host (useful to exercise the
-    /// real pool + deque path on small CI machines); values below it cap
+    /// real pool path on small CI machines); values below it cap
     /// the threads a launch may occupy. Simulated results are identical
     /// either way.
     pub fn set_host_threads_override(&mut self, threads: Option<usize>) {
         self.host_threads_override = threads;
-    }
-
-    /// Work units (SM slots with at least one warp/block) scheduled by
-    /// host-parallel launches since construction or the last
-    /// [`Self::reset_profiling`].
-    pub fn sched_unit_count(&self) -> u64 {
-        self.sched_units
-    }
-
-    /// Units claimed via work stealing (rather than popped from the
-    /// owning worker's deque) since construction or the last
-    /// [`Self::reset_profiling`]. Always 0 under [`SchedMode::Static`]
-    /// and on single-threaded launches.
-    pub fn steal_count(&self) -> u64 {
-        self.steals
     }
 
     /// Installs a fault-injection plan applied to every subsequent launch
@@ -1067,11 +996,11 @@ impl Gpu {
     /// The host-parallel launch engine. Detaches each SM's exclusive state
     /// — its L1, its private L2 slice, its cycle counter, its stat
     /// counters, and its fault-RNG stream — into an [`SmSlot`], then runs
-    /// the slots to completion on the persistent worker pool under the
-    /// active [`SchedMode`]: every worker owns a Chase–Lev deque seeded
-    /// round-robin with slot indices, pops its own slots LIFO, and (in
-    /// steal mode) steals FIFO from victims chosen by seeded round-robin
-    /// when its deque runs dry. The *schedulable unit is a whole SM slot*:
+    /// the slots to completion on the persistent worker pool: every
+    /// worker claims the next slot with work from one shared cursor (SM
+    /// order) until none remain, the way the hardware block scheduler
+    /// hands the next pending block to whichever SM frees up. The
+    /// *schedulable unit is a whole SM slot*:
     /// whichever worker claims a slot runs all of its warps/blocks against
     /// that slot's own L1, L2 slice, counters, and fault-RNG stream, so
     /// per-SM stats are byte-identical whatever the schedule. Fault draws
@@ -1080,7 +1009,7 @@ impl Gpu {
     /// All slots are merged back once at kernel end — even when a worker
     /// aborted, so the device stays structurally valid for the caller's
     /// recovery path. Workers share nothing mutable but global memory
-    /// (real atomics), the deques, and the abort flag; worker 0 runs
+    /// (real atomics), the cursor, and the abort flag; worker 0 runs
     /// inline on the calling thread. On a single OS thread the engine
     /// skips the pool entirely and steps the slots in lockstep (item 0 of
     /// every SM, then item 1, …), which walks global memory in near-serial
@@ -1134,7 +1063,6 @@ impl Gpu {
                 items,
             });
         }
-        self.sched_units += slots.iter().filter(|s| !s.items.is_empty()).count() as u64;
 
         // Which slot runs on which OS thread is unobservable: slots are
         // self-contained and interact only through real atomics on global
@@ -1223,56 +1151,31 @@ impl Gpu {
                 fault: self.fault,
                 watchdog: self.watchdog,
                 launch: self.launch_index,
-                sched: self.sched,
+                pending: (0..num_sms)
+                    .filter(|&i| !slots[i].items.is_empty())
+                    .collect(),
                 slots: slots.drain(..).map(|s| Mutex::new(Some(s))).collect(),
-                deques: (0..os_threads)
-                    .map(|_| WorkDeque::with_capacity(num_sms))
-                    .collect(),
-                victim_start: (0..os_threads)
-                    .map(|w| {
-                        let mut rng = FaultRng::new(
-                            self.fault.seed ^ 0x57ea1,
-                            self.launch_index.wrapping_add(w as u64),
-                        );
-                        rng.below(os_threads as u64) as usize
-                    })
-                    .collect(),
+                cursor: AtomicUsize::new(0),
                 run_item,
                 abort: AtomicBool::new(false),
                 panic: Mutex::new(None),
-                steals: AtomicU64::new(0),
             });
-            // Deal slots with work round-robin onto the worker deques.
-            let mut dealt = 0usize;
-            for (idx, cell) in shared.slots.iter().enumerate() {
-                let has_work = cell
-                    .lock()
-                    .expect("slot lock")
-                    .as_ref()
-                    .is_some_and(|s| !s.items.is_empty());
-                if has_work {
-                    let pushed = shared.deques[dealt % os_threads].push(idx as u64);
-                    debug_assert!(pushed, "deque sized to num_sms cannot overflow");
-                    dealt += 1;
-                }
-            }
             let jobs: Vec<PoolJob> = (1..os_threads)
-                .map(|w| {
+                .map(|_| {
                     let sh = Arc::clone(&shared);
-                    Box::new(move || sh.run_worker(w)) as PoolJob
+                    Box::new(move || sh.run_worker()) as PoolJob
                 })
                 .collect();
-            let pending = jobs.len();
+            let dispatched = jobs.len();
             self.pool.dispatch(jobs);
             // Worker 0 runs inline on the calling thread.
-            shared.run_worker(0);
-            self.pool.wait(pending);
+            shared.run_worker();
+            self.pool.wait(dispatched);
 
             let launch = match Arc::try_unwrap(shared) {
                 Ok(l) => l,
                 Err(_) => unreachable!("pool workers hold no launch refs after done"),
             };
-            self.steals += launch.steals.load(Ordering::Relaxed);
             self.mem = match Arc::try_unwrap(launch.mem) {
                 Ok(m) => m,
                 Err(_) => unreachable!("pool workers hold no memory refs after done"),
@@ -1585,8 +1488,6 @@ impl Gpu {
     pub fn reset_profiling(&mut self) {
         self.kernels.clear();
         self.timeline_cycles = 0;
-        self.sched_units = 0;
-        self.steals = 0;
         for c in &mut self.l1 {
             c.flush();
         }
@@ -1955,15 +1856,15 @@ mod tests {
     /// memory, per-kernel stats tuple, per-SM cycles) for comparison.
     #[allow(clippy::type_complexity)]
     fn run_scheduled(
-        sched: SchedMode,
+        profile: DeviceProfile,
         workers: usize,
         host_threads: Option<usize>,
         fault: FaultPlan,
     ) -> (Vec<u32>, (u64, u64, u64, u64, u64), Vec<u64>) {
-        let src: Vec<u32> = (0..2048u32).map(|i| i.wrapping_mul(7) + 3).collect();
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
+        // 64 blocks, so every SM of the 24-SM profile has work.
+        let src: Vec<u32> = (0..16384u32).map(|i| i.wrapping_mul(7) + 3).collect();
+        let mut gpu = Gpu::new(profile);
         gpu.set_exec_mode(ExecMode::HostParallel(workers));
-        gpu.set_sched_mode(sched);
         gpu.set_host_threads_override(host_threads);
         gpu.set_fault_plan(fault);
         let a = gpu.alloc_from(&src);
@@ -1974,6 +1875,11 @@ mod tests {
                 let tid = w.thread_ids();
                 let m = w.launch_mask();
                 let v = w.load(a, &tid, m);
+                // Enough per-warp work that every pool thread gets to
+                // claim slots before the cursor runs out.
+                for _ in 0..64 {
+                    w.alu(1);
+                }
                 w.store(b, &tid, &v.map(|x| x.wrapping_mul(3)), m);
             })
             .unwrap();
@@ -1991,59 +1897,59 @@ mod tests {
     }
 
     /// The scheduler determinism contract: memory, cycles, cache stats,
-    /// and per-SM deltas are byte-identical across scheduler modes,
-    /// worker counts, and the lockstep/pool split — including under an
-    /// active fault plan, thanks to the per-block RNG reseed.
+    /// and per-SM deltas are byte-identical across worker counts, host
+    /// thread counts, and the lockstep/pool split — including under an
+    /// active fault plan, thanks to the per-block RNG reseed. On the
+    /// 24-SM profile up to 8 real threads race on the slot cursor.
     #[test]
-    fn steal_and_static_schedules_are_result_identical() {
-        for fault in [FaultPlan::none(), FaultPlan::everything(42)] {
-            // Reference: single OS thread (lockstep path, no pool).
-            let reference = run_scheduled(SchedMode::Steal, 4, Some(1), fault);
-            for sched in [SchedMode::Static, SchedMode::Steal] {
-                for workers in [1, 2, 3, 8] {
-                    // Force real pool threads even on a 1-core CI host.
-                    let got = run_scheduled(sched, workers, Some(4), fault);
-                    assert_eq!(
-                        got,
-                        reference,
-                        "sched {sched:?} workers {workers} diverged (fault={})",
-                        fault.to_spec()
-                    );
+    fn slot_cursor_schedules_are_result_identical() {
+        for profile in [DeviceProfile::test_tiny(), DeviceProfile::titan_x()] {
+            for fault in [FaultPlan::none(), FaultPlan::everything(42)] {
+                // Reference: single OS thread (lockstep path, no pool).
+                let reference = run_scheduled(profile.clone(), 8, Some(1), fault);
+                for host_threads in [1, 3, 8] {
+                    for workers in [1, 2, 3, 8] {
+                        // Forces real pool threads even on a 1-core host.
+                        let got =
+                            run_scheduled(profile.clone(), workers, Some(host_threads), fault);
+                        assert_eq!(
+                            got,
+                            reference,
+                            "{} workers {workers} host threads {host_threads} diverged (fault={})",
+                            profile.name,
+                            fault.to_spec()
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// Under forced multithreading with an imbalanced launch, the steal
-    /// scheduler actually steals — and the static scheduler never does.
+    /// A skewed launch — low blocks do far more ALU work, so the workers
+    /// that claim them finish last while the others drain the cursor —
+    /// yields the same per-SM cycles and stats at every thread count.
     #[test]
-    fn steal_counters_reflect_scheduler_mode() {
-        let run = |sched: SchedMode| {
+    fn skewed_launch_is_result_identical_across_host_threads() {
+        let run = |host_threads: usize| {
             let mut gpu = Gpu::new(DeviceProfile::titan_x());
             gpu.set_exec_mode(ExecMode::HostParallel(8));
-            gpu.set_sched_mode(sched);
-            gpu.set_host_threads_override(Some(8));
-            // Skewed work: low block indices (low SMs) do far more ALU
-            // work, so early-finishing workers must steal to help.
-            gpu.try_launch_blocks_sync("skew", 24, move |b| {
-                let heavy = 24u64.saturating_sub(b.block_idx() as u64 * 8);
-                b.for_each_warp(|w| {
-                    for _ in 0..heavy * 200 {
-                        w.alu(1);
-                    }
-                });
-            })
-            .unwrap();
-            (gpu.steal_count(), gpu.sched_unit_count())
+            gpu.set_host_threads_override(Some(host_threads));
+            let k = gpu
+                .try_launch_blocks_sync("skew", 24, move |b| {
+                    let heavy = 24u64.saturating_sub(b.block_idx() as u64 * 8);
+                    b.for_each_warp(|w| {
+                        for _ in 0..heavy * 200 {
+                            w.alu(1);
+                        }
+                    });
+                })
+                .unwrap();
+            (k.cycles, k.instructions, k.sm_cycle_deltas.clone())
         };
-        let (static_steals, static_units) = run(SchedMode::Static);
-        assert_eq!(static_steals, 0, "static mode must never steal");
-        assert_eq!(static_units, 24);
-        // Steal mode may or may not steal on any given run (it depends on
-        // OS timing), but the counters must stay consistent.
-        let (steal_steals, steal_units) = run(SchedMode::Steal);
-        assert_eq!(steal_units, 24);
-        assert!(steal_steals <= steal_units);
+        let reference = run(1);
+        for host_threads in [3, 8] {
+            assert_eq!(run(host_threads), reference, "host threads {host_threads}");
+        }
     }
 
     /// The worker pool is persistent: a second launch reuses the threads
@@ -2067,9 +1973,9 @@ mod tests {
     }
 
     /// Abort handling through the pool path: watchdog and OOB still
-    /// classify structurally with real worker threads and stealing on.
+    /// classify structurally with real worker threads.
     #[test]
-    fn pooled_steal_launch_classifies_aborts() {
+    fn pooled_launch_classifies_aborts() {
         let mut gpu = Gpu::new(DeviceProfile::test_tiny());
         gpu.set_exec_mode(ExecMode::HostParallel(2));
         gpu.set_host_threads_override(Some(2));

@@ -389,10 +389,9 @@ impl FaultRng {
     /// Per-block (per schedulable item) stream for host-parallel launches:
     /// the launch engine reseeds before every warp/block it executes, so
     /// every injection draw is a pure function of `(seed, launch, block)`
-    /// — independent of which worker ran the block, in what order, or
-    /// whether it was stolen. This is what keeps chaos runs reproducible
-    /// and per-SM cache/cycle stats byte-identical across worker counts
-    /// and scheduler modes (`static` vs `steal`). The serial mode keeps
+    /// — independent of which worker ran the block or in what order.
+    /// This is what keeps chaos runs reproducible and per-SM cache/cycle
+    /// stats byte-identical across worker counts. The serial mode keeps
     /// its original launch-wide stream untouched.
     pub fn for_block(seed: u64, launch: u64, block: usize) -> FaultRng {
         let block_seed = seed.wrapping_add((block as u64 + 1).wrapping_mul(0x2545f4914f6cdd1d));

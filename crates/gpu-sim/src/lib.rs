@@ -53,7 +53,6 @@ pub mod fault;
 pub mod lanes;
 pub mod mem;
 pub mod profile;
-pub mod sched;
 pub mod warp;
 
 mod device;
@@ -66,5 +65,4 @@ pub use fault::{FaultPlan, FaultRng};
 pub use lanes::{Lanes, Mask, LANES};
 pub use mem::DevicePtr;
 pub use profile::DeviceProfile;
-pub use sched::SchedMode;
 pub use warp::{BlockCtx, WarpCtx};

@@ -14,7 +14,6 @@
 
 use crate::json::{self, Obj, Value};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -186,18 +185,8 @@ impl FlightRecorder {
         let doc = self.render(reason);
         self.inner.dumps.fetch_add(1, Ordering::Relaxed);
         let final_path = dir.join("postmortem.json");
-        let tmp_path = dir.join("postmortem.json.tmp");
         std::fs::create_dir_all(dir)?;
-        {
-            let mut f = std::fs::File::create(&tmp_path)?;
-            f.write_all(doc.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        crate::durable::write_atomic(&final_path, format!("{doc}\n").as_bytes())?;
         Ok(final_path)
     }
 }
@@ -376,7 +365,7 @@ mod tests {
         assert_eq!(s.reason, "session-panic");
         assert_eq!(s.notes, 2);
         assert_eq!(f.dumps(), 2);
-        assert!(!p1.with_extension("json.tmp").exists());
+        assert!(!dir.join(".tmp-postmortem.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,10 +29,14 @@
 //!   / breaker open / device crash / watchdog.
 //! * [`expo`]: the `ecl-metrics-v2` Prometheus-style text exposition
 //!   behind `METRICS` and `serve --metrics-every`.
+//!
+//! Shared persistence: [`durable`] holds the FNV-1a digest and the
+//! fsyncing write-temp-rename every crash-safe file goes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod expo;
 pub mod flight;
 pub mod histo;

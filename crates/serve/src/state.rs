@@ -36,8 +36,8 @@
 use crate::protocol::RequestError;
 use crate::wal::{self, Wal};
 use ecl_cc::incremental::IncrementalCc;
-use ecl_engine::journal::{fnv1a, write_atomic};
 use ecl_graph::Vertex;
+use ecl_obs::durable::{fnv1a, write_atomic};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -11,10 +11,10 @@
 //! resuming from *older* labels can only cost extra rounds, never
 //! correctness).
 
-use crate::interconnect::fnv1a;
-use std::fs::{self, File};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use ecl_obs::durable::{fnv1a, write_atomic};
+use std::fs;
+use std::io;
+use std::path::Path;
 
 /// Checkpoint file name inside the checkpoint directory.
 pub const CKPT_FILE: &str = "frontier.ckpt";
@@ -88,38 +88,10 @@ pub fn read_checkpoint(dir: &Path) -> Option<Checkpoint> {
     })
 }
 
-/// Write-temp-fsync-rename, the same discipline as the engine journal's
-/// result files (reimplemented locally: `ecl-shard` sits below the
-/// engine in the crate graph).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = temp_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself; ignore platforms where directories
-        // cannot be fsynced.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-fn temp_path(path: &Path) -> PathBuf {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "ckpt".into());
-    path.with_file_name(format!(".tmp-{name}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ecl-shard-ckpt-{tag}-{}", std::process::id()));

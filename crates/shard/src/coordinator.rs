@@ -40,7 +40,7 @@ use crate::checkpoint::{read_checkpoint, write_checkpoint};
 use crate::interconnect::{ExchangeStats, Interconnect, LinkModel};
 use ecl_cc::ladder::{self, LadderConfig};
 use ecl_cc::{CcResult, EclConfig, EclError};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, FaultRng, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, FaultRng, Gpu};
 use ecl_graph::partition::{partition_blocks, Partition};
 use ecl_graph::{CsrGraph, Vertex};
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
@@ -66,8 +66,6 @@ pub struct ShardConfig {
     pub watchdog: Option<u64>,
     /// Execution mode for each device's local solve.
     pub exec: ExecMode,
-    /// Block scheduler for host-parallel launches on each device.
-    pub sched: SchedMode,
     /// Threads for the parallel-CPU stage of the degraded ladder.
     pub threads: usize,
     /// Interconnect latency model.
@@ -100,7 +98,6 @@ impl Default for ShardConfig {
             fault: FaultPlan::none(),
             watchdog: None,
             exec: ExecMode::Serial,
-            sched: SchedMode::default(),
             threads: 4,
             link: LinkModel::default(),
             checkpoint_dir: None,
@@ -238,7 +235,6 @@ fn solve_local(
     for attempt in 0..2u64 {
         let mut gpu = Gpu::new(cfg.profile.clone());
         gpu.set_exec_mode(cfg.exec);
-        gpu.set_sched_mode(cfg.sched);
         let mut plan = sim_only(&cfg.fault);
         // Per-(device, attempt) seed, like the ladder's per-attempt
         // reseed, so a deterministic watchdog trip is not retried into
@@ -336,7 +332,6 @@ fn degrade(
         fault: sim_only(&cfg.fault),
         watchdog: cfg.watchdog,
         exec: cfg.exec,
-        sched: cfg.sched,
         recorder: cfg.recorder.clone(),
         ..LadderConfig::default()
     };

@@ -17,18 +17,7 @@
 //! `ci.sh` relies on.
 
 use ecl_gpu_sim::{FaultPlan, FaultRng};
-
-/// FNV-1a 64-bit digest — the same construction the engine journal and
-/// serve snapshots use (kept local: `ecl-shard` sits below the engine
-/// in the crate graph).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use ecl_obs::durable::fnv1a;
 
 /// Latency model for one link: `base_cycles + bytes * cycles_per_byte`
 /// per frame attempt (retransmissions pay full price again, plus a

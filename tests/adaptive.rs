@@ -3,13 +3,13 @@
 //!
 //! The acceptance bar is byte-identity: for every corpus graph, every
 //! execution path (serial, parallel at several widths, simulated GPU in
-//! serial and host-parallel/work-stealing modes, sharded multi-device),
+//! serial and host-parallel modes, sharded multi-device),
 //! every sampled prefix size K, and even under injected faults, the
 //! adaptive labels must equal baseline serial ECL-CC exactly — while
 //! inspecting no more edges than the full pass.
 
 use ecl_cc::{EclConfig, SampleStats};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
 use ecl_graph::CsrGraph;
 use ecl_integration::corpus;
 
@@ -22,7 +22,6 @@ fn baseline(g: &CsrGraph) -> Vec<u32> {
 fn gpu_sampled(g: &CsrGraph, k: usize, exec: ExecMode) -> (Vec<u32>, SampleStats) {
     let mut gpu = Gpu::new(DeviceProfile::test_tiny());
     gpu.set_exec_mode(exec);
-    gpu.set_sched_mode(SchedMode::default());
     let (r, s) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::with_sampling(k));
     (r.labels, s.sampling.expect("sampling stats present"))
 }
@@ -53,7 +52,7 @@ fn serial_and_parallel_byte_identical_across_corpus() {
 }
 
 #[test]
-fn gpu_serial_and_steal_modes_byte_identical() {
+fn gpu_serial_and_parallel_modes_byte_identical() {
     for (name, g) in corpus() {
         let want = baseline(&g);
         for k in KS {
@@ -62,8 +61,11 @@ fn gpu_serial_and_steal_modes_byte_identical() {
             assert_eq!(labels, want, "{name} gpu-serial k={k}");
             assert_eq!(stats, cpu_stats, "{name} gpu k={k} counters drifted");
             let (labels, stats) = gpu_sampled(&g, k, ExecMode::HostParallel(4));
-            assert_eq!(labels, want, "{name} gpu-steal k={k}");
-            assert_eq!(stats, cpu_stats, "{name} gpu-steal k={k} counters drifted");
+            assert_eq!(labels, want, "{name} gpu-parallel k={k}");
+            assert_eq!(
+                stats, cpu_stats,
+                "{name} gpu-parallel k={k} counters drifted"
+            );
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   checker on top.
 
 use ecl_cc::EclConfig;
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu, SchedMode};
+use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
 use ecl_graph::{generate, CsrGraph};
 
 /// One golden per-kernel row:
@@ -202,14 +202,21 @@ fn parallel_labels_byte_identical_to_serial() {
     }
 }
 
-/// The scheduler half of the equivalence contract: for every sched mode
-/// (static SM bucketing and work-stealing deques), worker count, and
-/// fault plan, host-parallel ECL-CC labels are byte-identical to serial
-/// labels. The host-thread override forces real pool threads (with real
-/// steal interleavings) even on a single-core CI host, so the stealing
-/// path is genuinely exercised, not collapsed to lockstep.
+/// The profiles the scheduler contract runs on: 2 SMs, and the 24-SM
+/// Titan X, where up to 8 real threads race on the slot cursor.
+fn sched_profiles() -> [DeviceProfile; 2] {
+    [DeviceProfile::test_tiny(), DeviceProfile::titan_x()]
+}
+
+/// Host-thread overrides for the scheduler contract: the lockstep path
+/// (1) and real pool threads (3, 8) even on a single-core CI host.
+const HOST_THREADS: [usize; 3] = [1, 3, 8];
+
+/// The scheduler half of the equivalence contract: for every profile,
+/// worker count, host-thread count, and fault plan, host-parallel ECL-CC
+/// labels are byte-identical to serial labels and certify.
 #[test]
-fn steal_and_static_sched_labels_byte_identical_to_serial() {
+fn pooled_labels_byte_identical_to_serial() {
     let graphs: Vec<(&str, CsrGraph)> = vec![
         ("gnm", generate::gnm_random(1500, 4000, 11)),
         ("star", generate::star(900)),
@@ -222,29 +229,28 @@ fn steal_and_static_sched_labels_byte_identical_to_serial() {
         ("none", FaultPlan::none()),
         ("everything", FaultPlan::everything(0xfa11)),
     ];
-    for (gname, g) in &graphs {
-        for (pname, plan) in &plans {
-            let mut serial_gpu = Gpu::new(DeviceProfile::test_tiny());
-            serial_gpu.set_fault_plan(*plan);
-            let (serial, _) = ecl_cc::gpu::run(&mut serial_gpu, g, &EclConfig::default());
+    for profile in sched_profiles() {
+        for (gname, g) in &graphs {
+            for (pname, plan) in &plans {
+                let mut serial_gpu = Gpu::new(profile.clone());
+                serial_gpu.set_fault_plan(*plan);
+                let (serial, _) = ecl_cc::gpu::run(&mut serial_gpu, g, &EclConfig::default());
 
-            for sched in [SchedMode::Static, SchedMode::Steal] {
-                for workers in [1usize, 2, 4, 8] {
-                    let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-                    gpu.set_fault_plan(*plan);
-                    gpu.set_exec_mode(ExecMode::HostParallel(workers));
-                    gpu.set_sched_mode(sched);
-                    gpu.set_host_threads_override(Some(workers));
-                    let (par, _) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::default());
-                    assert_eq!(
-                        par.labels,
-                        serial.labels,
-                        "{gname}/{pname}/{}/workers={workers}: labels diverged",
-                        sched.describe()
-                    );
-                    ecl_verify::certify(g, &par.labels).unwrap_or_else(|e| {
-                        panic!("{gname}/{pname}/{}/{workers}: {e}", sched.describe())
-                    });
+                for host in HOST_THREADS {
+                    for workers in [1usize, 3, 8] {
+                        let ctx = format!(
+                            "{}/{gname}/{pname}/host={host}/workers={workers}",
+                            profile.name
+                        );
+                        let mut gpu = Gpu::new(profile.clone());
+                        gpu.set_fault_plan(*plan);
+                        gpu.set_exec_mode(ExecMode::HostParallel(workers));
+                        gpu.set_host_threads_override(Some(host));
+                        let (par, _) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::default());
+                        assert_eq!(par.labels, serial.labels, "{ctx}: labels diverged");
+                        ecl_verify::certify(g, &par.labels)
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    }
                 }
             }
         }
@@ -252,45 +258,48 @@ fn steal_and_static_sched_labels_byte_identical_to_serial() {
 }
 
 /// For race-free kernels the *statistics* — not just the labels — are
-/// schedule-free: every `CacheStats` field must be byte-identical across
-/// sched modes and worker counts, because each SM slot carries its own
-/// caches and counters and per-block fault RNG reseeding makes every
-/// draw a pure function of (seed, launch, block). Stealing may move a
-/// slot to a different OS thread, never to different work.
+/// schedule-free: every `CacheStats` field and every per-SM cycle delta
+/// must be byte-identical to the lockstep reference across worker and
+/// host-thread counts, because each SM slot carries its own caches and
+/// counters and per-block fault RNG reseeding makes every draw a pure
+/// function of (seed, launch, block). The cursor may hand a slot to a
+/// different OS thread, never different work.
 #[test]
-fn steal_mode_cache_stats_byte_identical_across_workers() {
+fn pooled_cache_stats_byte_identical_across_workers() {
     const N: usize = 4096;
-    let run_one = |sched: SchedMode,
-                   workers: usize,
-                   host: Option<usize>|
-     -> (ecl_gpu_sim::CacheStats, ecl_gpu_sim::CacheStats) {
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
+    let run_one = |profile: &DeviceProfile, plan: FaultPlan, workers: usize, host: usize| {
+        let mut gpu = Gpu::new(profile.clone());
         gpu.set_exec_mode(ExecMode::HostParallel(workers));
-        gpu.set_sched_mode(sched);
-        gpu.set_host_threads_override(host);
+        gpu.set_host_threads_override(Some(host));
+        gpu.set_fault_plan(plan);
         let src = gpu.alloc_from(&(0..N as u32).collect::<Vec<u32>>());
         let dst = gpu.alloc(N);
-        gpu.try_launch_warps_sync("scale", N, move |w| {
-            let ids = w.thread_ids();
-            let m = w.launch_mask();
-            let vals = w.load(src, &ids, m);
-            w.store(dst, &ids, &vals.map(|x| x.wrapping_mul(3)), m);
-        })
-        .expect("clean launch");
-        (gpu.l1_stats(), gpu.l2_stats())
+        let k = gpu
+            .try_launch_warps_sync("scale", N, move |w| {
+                let ids = w.thread_ids();
+                let m = w.launch_mask();
+                let vals = w.load(src, &ids, m);
+                w.store(dst, &ids, &vals.map(|x| x.wrapping_mul(3)), m);
+            })
+            .expect("clean launch");
+        (gpu.l1_stats(), gpu.l2_stats(), k.sm_cycle_deltas)
     };
 
-    // Reference: lockstep single-thread schedule.
-    let (ref_l1, ref_l2) = run_one(SchedMode::Steal, 4, Some(1));
-    for sched in [SchedMode::Static, SchedMode::Steal] {
-        for workers in [1usize, 2, 4, 8] {
-            let (l1, l2) = run_one(sched, workers, Some(4));
-            assert_eq!(
-                (l1, l2),
-                (ref_l1, ref_l2),
-                "{}/workers={workers}: cache stats not schedule-free",
-                sched.describe()
-            );
+    for profile in sched_profiles() {
+        for plan in [FaultPlan::none(), FaultPlan::everything(0xfa11)] {
+            // Reference: lockstep single-thread schedule.
+            let reference = run_one(&profile, plan, 8, 1);
+            for host in HOST_THREADS {
+                for workers in [1usize, 2, 3, 8] {
+                    assert_eq!(
+                        run_one(&profile, plan, workers, host),
+                        reference,
+                        "{}/{}/host={host}/workers={workers}: stats not schedule-free",
+                        profile.name,
+                        plan.to_spec()
+                    );
+                }
+            }
         }
     }
 }

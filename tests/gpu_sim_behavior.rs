@@ -83,15 +83,9 @@ fn ecl_beats_all_gpu_baselines_on_most_graphs() {
                 &titan,
                 g,
                 ecl_gpu_sim::ExecMode::Serial,
-                ecl_gpu_sim::SchedMode::default(),
             );
-            let other = ecl_bench::runners::run_gpu_code(
-                *runner,
-                &titan,
-                g,
-                ecl_gpu_sim::ExecMode::Serial,
-                ecl_gpu_sim::SchedMode::default(),
-            );
+            let other =
+                ecl_bench::runners::run_gpu_code(*runner, &titan, g, ecl_gpu_sim::ExecMode::Serial);
             ratios.push(other / ecl);
         }
         let gm = geomean(&ratios);
