@@ -113,18 +113,18 @@ echo "    equivalence suite green"
 
 echo "==> observability: profile artifacts + recorder-off equivalence"
 # The profile subcommand must emit a schema-valid Chrome trace and
-# metrics document (--validate re-parses both and fails on any schema
-# drift), and the recorder must be observation-only: the golden cycle
-# pins in exec_equivalence (asserted with recording on AND off, above)
-# plus the dedicated observability suite gate this.
+# ecl-metrics-v2 exposition (--validate re-parses both and fails on any
+# schema drift), and the recorder must be observation-only: the golden
+# cycle pins in exec_equivalence (asserted with recording on AND off,
+# above) plus the dedicated observability suite gate this.
 "$ECL" profile --graph rmat16.sym --scale tiny \
     --trace "$BATCH_DIR/profile_trace.json" \
-    --metrics "$BATCH_DIR/profile_metrics.json" \
+    --metrics "$BATCH_DIR/profile_metrics.prom" \
     --validate > /dev/null
 grep -q '"schema":"ecl-trace-v1"' "$BATCH_DIR/profile_trace.json" \
     || { echo "profile trace missing schema tag"; exit 1; }
-grep -q '"schema":"ecl-metrics-v1"' "$BATCH_DIR/profile_metrics.json" \
-    || { echo "profile metrics missing schema tag"; exit 1; }
+[ "$(head -1 "$BATCH_DIR/profile_metrics.prom")" = "# ecl-metrics-v2" ] \
+    || { echo "profile metrics missing ecl-metrics-v2 header"; exit 1; }
 cargo test -q --offline --test observability > /dev/null
 echo "    profile artifacts schema-valid; recording is observation-only"
 
@@ -305,11 +305,14 @@ echo "==> live telemetry over the wire: METRICS dump + trace propagation"
 # parser inside `harness telemetry` and the protocol_corpus tests; here
 # the header, histogram and window series are pinned), and one SUBMIT's
 # trace id must land in the serve, job, and kernel spans of the exported
-# Chrome trace — a single request visible across every layer.
+# Chrome trace — a single request visible across every layer. The
+# --metrics file written on drain is the same exposition plus the
+# recorder totals, so the traced job shows up as ecl_engine_jobs.
 TDIR="$BATCH_DIR/telemetry"
 mkdir -p "$TDIR"
 "$ECL" serve --dir "$TDIR/state" --addr 127.0.0.1:0 --vertices 1000 \
     --metrics-every 1 --trace "$TDIR/serve-trace.json" \
+    --metrics "$TDIR/final.prom" \
     > "$TDIR/serve.out" 2>&1 &
 SERVE_PID=$!
 ADDR=""
@@ -374,6 +377,11 @@ wait "$SERVE_PID" || { echo "serve drain failed"; exit 1; }
 # `--metrics-every 1` must have left an exposition file behind.
 head -1 "$TDIR/state/metrics.prom" | grep -q '^# ecl-metrics-v2$' \
     || { echo "metrics.prom missing or missing header"; exit 1; }
+# `--metrics FILE` must have written the drain-time exposition.
+[ "$(head -1 "$TDIR/final.prom")" = "# ecl-metrics-v2" ] \
+    || { echo "final.prom missing or missing header"; exit 1; }
+grep -Eq '^ecl_engine_jobs [1-9]' "$TDIR/final.prom" \
+    || { echo "final.prom missing ecl_engine_jobs from the traced SUBMIT"; exit 1; }
 # The SUBMIT's trace id must appear in spans of every layer it crossed.
 for CAT in serve job kernel; do
     grep "\"trace_id\":\"$TRACE_ID\"" "$TDIR/serve-trace.json" \

@@ -17,6 +17,7 @@
 //! by default) carries one record per (graph, shards, mode) plus
 //! greppable top-level pass/fail fields.
 
+use ecl_cc::LadderConfig;
 use ecl_gpu_sim::FaultPlan;
 use ecl_graph::catalog::Scale;
 use ecl_obs::json::Obj;
@@ -90,7 +91,10 @@ pub fn sharded(scale: Scale, plan: FaultPlan, json_path: &str) {
             let mut run = |mode: &'static str, fault: FaultPlan, ckpt: bool| {
                 let cfg = ShardConfig {
                     shards,
-                    fault,
+                    ladder: LadderConfig {
+                        fault,
+                        ..LadderConfig::default()
+                    },
                     checkpoint_dir: ckpt.then(|| ckpt_root.join(format!("{name}-{shards}-{mode}"))),
                     crash_budget: 1,
                     ..ShardConfig::default()

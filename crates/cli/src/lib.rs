@@ -295,18 +295,21 @@ pub fn run_sharded_obs(
 ) -> Result<ecl_shard::ShardOutcome, String> {
     let cfg = ecl_shard::ShardConfig {
         shards,
-        cc: EclConfig {
-            sampling,
-            ..EclConfig::default()
+        ladder: ecl_cc::LadderConfig {
+            cc: EclConfig {
+                sampling,
+                ..EclConfig::default()
+            },
+            threads,
+            watchdog,
+            fault,
+            exec,
+            profile: DeviceProfile::titan_x(),
+            recorder,
+            ..ecl_cc::LadderConfig::default()
         },
-        threads,
-        watchdog,
-        fault,
-        exec,
-        profile: DeviceProfile::titan_x(),
         checkpoint_dir,
         crash_budget,
-        recorder,
         ..ecl_shard::ShardConfig::default()
     };
     ecl_shard::run_sharded(g, &cfg).map_err(|e| e.to_string())

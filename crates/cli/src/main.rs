@@ -78,8 +78,9 @@ commands:
       request, and replies `OK job=N trace=HEX`; METRICS [1s|10s|60s]
       returns the ecl-metrics-v2 exposition (latency histograms +
       sliding-window p50/p90/p99/QPS); --metrics-every writes it to
-      DIR/metrics.prom periodically; --trace exports the Chrome trace
-      on drain; a panic, WAL poisoning, watchdog abort, or breaker trip
+      DIR/metrics.prom periodically; --metrics FILE writes it, plus the
+      recorder totals (ecl_engine_*, ecl_ladder_*, ecl_sim_*), on drain;
+      --trace exports the Chrome trace on drain; a panic, WAL poisoning, watchdog abort, or breaker trip
       dumps a flight-recorder postmortem.json into --flight-dir
       (default --dir); --debug-poison-after N force-poisons the WAL
       after N durable edges (CI fault injection)
@@ -89,8 +90,9 @@ commands:
       run ECL-CC on the simulated GPU with full instrumentation and
       regenerate the paper's cache-locality table (Table 3), per-phase
       cycle breakdown (and Table 4 path lengths) as a text report;
-      --trace/--metrics write Chrome-trace / flat-metrics JSON;
-      --validate re-parses both against their schemas (CI gate);
+      --trace writes Chrome-trace JSON, --metrics the ecl-metrics-v2
+      exposition of the recorder totals; --validate re-parses both
+      against their schemas (CI gate);
       default input is a bundled quick set of paper graphs
   verify <file> [--labels FILE | --algo NAME] [--threads N] [--format F]
          [--sim-workers N] [--sampling K]

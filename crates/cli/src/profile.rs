@@ -2,7 +2,8 @@
 //! observability recorder attached and regenerates the paper's
 //! cache-locality table (Table 3), the per-phase cycle breakdown
 //! (§4.5), and the parent-path-length table (Table 4) as a text report,
-//! plus Chrome-trace and flat-metrics JSON exports.
+//! plus a Chrome-trace JSON export and an `ecl-metrics-v2` exposition
+//! of the recorder's metric totals.
 //!
 //! ```text
 //! profile [FILE] [--graph NAME]... [--device titan-x|k40]
@@ -11,8 +12,9 @@
 //! ```
 //!
 //! With no input, a bundled quick set of paper graphs is profiled.
-//! `--validate` re-parses every JSON artifact just written and fails the
-//! command if either does not conform to its schema — the CI hook.
+//! `--validate` re-parses both artifacts just written (the trace against
+//! `ecl-trace-v1`, the metrics with `parse_expo`) and fails the command
+//! if either does not conform — the CI hook.
 
 use ecl_cc::EclConfig;
 use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
@@ -191,8 +193,11 @@ pub fn run_profile(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
         eprintln!("trace written to {path}");
     }
+    let mut metrics = ecl_obs::Expo::new();
+    metrics.recorder(&recorder);
+    let metrics_doc = metrics.finish();
     if let Some(path) = &metrics_out {
-        std::fs::write(path, recorder.metrics_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, &metrics_doc).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("metrics written to {path}");
     }
 
@@ -203,12 +208,13 @@ pub fn run_profile(args: &[String]) -> Result<(), String> {
         };
         let summary = ecl_obs::validate_chrome_trace(&trace_json)
             .map_err(|e| format!("trace validation failed: {e}"))?;
-        let metrics_json = match &metrics_out {
+        let doc = match &metrics_out {
             Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
-            None => recorder.metrics_json(),
+            None => metrics_doc,
         };
-        let metric_count = ecl_obs::validate_metrics_json(&metrics_json)
-            .map_err(|e| format!("metrics validation failed: {e}"))?;
+        let metric_count = ecl_obs::parse_expo(&doc)
+            .map_err(|e| format!("metrics validation failed: {e}"))?
+            .len();
         if summary.spans == 0 {
             return Err("trace validation failed: no kernel spans recorded".into());
         }

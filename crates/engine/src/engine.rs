@@ -682,13 +682,18 @@ fn process_job_sharded(
             .wrapping_add(round as u64 * 64);
         let shard_cfg = ecl_shard::ShardConfig {
             shards: cfg.shards_per_job,
-            cc: cfg.ladder.cc,
-            profile: cfg.ladder.profile.clone(),
-            fault,
-            watchdog: cfg.ladder.watchdog,
-            exec: shared.exec,
-            threads: cfg.ladder.threads,
-            recorder: shared.recorder().cloned(),
+            // The degraded ladder keeps the default stages, attempts and
+            // an untraced context, whatever this engine's own ladder says.
+            ladder: LadderConfig {
+                cc: cfg.ladder.cc,
+                profile: cfg.ladder.profile.clone(),
+                fault,
+                watchdog: cfg.ladder.watchdog,
+                exec: shared.exec,
+                threads: cfg.ladder.threads,
+                recorder: shared.recorder().cloned(),
+                ..LadderConfig::default()
+            },
             ..ecl_shard::ShardConfig::default()
         };
 

@@ -1,8 +1,9 @@
 //! `ecl-metrics-v2` — Prometheus-style text exposition.
 //!
-//! The serve layer's `METRICS` command and `--metrics-every` periodic
-//! dumps emit this format. It is deliberately tiny and fully specified
-//! so a parser can gate it in CI:
+//! The workspace's one metrics format: the serve layer's `METRICS`
+//! command, its `--metrics-every` periodic dumps and `--metrics` drain
+//! file, and `profile --metrics` all emit it. It is deliberately tiny
+//! and fully specified so a parser can gate it in CI:
 //!
 //! ```text
 //! # ecl-metrics-v2
@@ -26,6 +27,7 @@
 //!   (`render(parse(text)) == text`).
 
 use crate::histo::{bucket_hi, HistoSnapshot};
+use crate::recorder::Recorder;
 
 /// Schema tag on the exposition's first line.
 pub const METRICS_V2_SCHEMA: &str = "ecl-metrics-v2";
@@ -126,6 +128,15 @@ impl Expo {
         self.line(&format!("{name}_bucket"), &ls, snap.count as f64);
         self.line(&format!("{name}_sum"), labels, snap.sum as f64);
         self.line(&format!("{name}_count"), labels, snap.count as f64);
+    }
+
+    /// Appends a [`Recorder`]'s metric totals, one unlabelled line per
+    /// metric in name order, named `ecl_` + the recorder name with `.`
+    /// mapped to `_` (`sim.cycles` → `ecl_sim_cycles`).
+    pub fn recorder(&mut self, r: &Recorder) {
+        for (name, v) in r.metrics() {
+            self.line(&format!("ecl_{}", name.replace('.', "_")), &[], v);
+        }
     }
 
     /// Number of sample lines so far (header excluded).

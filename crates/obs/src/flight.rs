@@ -191,30 +191,27 @@ impl FlightRecorder {
     }
 }
 
-/// FNV-1a 64-bit, folded over a canonical serialization of the rings.
-/// The validator recomputes the same fold from parsed notes, proving
-/// the document body was not altered after stamping.
+/// FNV-1a 64-bit over a canonical serialization of the rings: every
+/// field followed by a `0x1f` unit separator. The validator recomputes
+/// the same digest from parsed notes, proving the document body was not
+/// altered after stamping.
 fn digest_rings(reason: &str, rings: &BTreeMap<String, VecDeque<FlightNote>>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut buf = Vec::new();
+    let mut field = |bytes: &[u8]| {
+        buf.extend_from_slice(bytes);
+        buf.push(0x1f);
     };
-    eat(reason.as_bytes());
+    field(reason.as_bytes());
     for (name, ring) in rings {
-        eat(name.as_bytes());
+        field(name.as_bytes());
         for n in ring {
-            eat(n.ts_us.to_string().as_bytes());
-            eat(n.kind.as_str().as_bytes());
-            eat(n.name.as_bytes());
-            eat(n.detail.as_bytes());
+            field(n.ts_us.to_string().as_bytes());
+            field(n.kind.as_str().as_bytes());
+            field(n.name.as_bytes());
+            field(n.detail.as_bytes());
         }
     }
-    h
+    crate::durable::fnv1a(&buf)
 }
 
 /// Summary of a validated postmortem document.
@@ -317,6 +314,34 @@ mod tests {
         assert_eq!(s.reason, "watchdog");
         assert_eq!(s.subsystems, 3);
         assert_eq!(s.notes, 3);
+    }
+
+    /// Postmortems already on disk must keep validating, so the digest
+    /// of fixed rings is pinned.
+    #[test]
+    fn digest_is_pinned() {
+        let mut rings: BTreeMap<String, VecDeque<FlightNote>> = BTreeMap::new();
+        for (sub, ts_us, kind, name, detail) in [
+            ("gpu", 120, NoteKind::Span, "kernel:compute1", "dur_us=120"),
+            ("gpu", 340, NoteKind::Instant, "watchdog", "budget 5 cycles"),
+            (
+                "serve",
+                7,
+                NoteKind::Metric,
+                "snapshot",
+                "queue_depth=4 qps=12.5",
+            ),
+        ] {
+            let note = FlightNote {
+                ts_us,
+                kind,
+                name: name.to_string(),
+                detail: detail.to_string(),
+            };
+            rings.entry(sub.to_string()).or_default().push_back(note);
+        }
+        assert_eq!(digest_rings("wal-poison", &rings), 0xbf57_2d33_de8f_5d00);
+        assert_eq!(digest_rings("", &BTreeMap::new()), 0xaf63_d24c_8601_db8e);
     }
 
     #[test]

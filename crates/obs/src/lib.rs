@@ -7,10 +7,10 @@
 //!   close). A disabled recorder is inert; recording never perturbs the
 //!   simulator's golden-pinned cycle counts or cache statistics.
 //! * Exporters: Chrome trace-event JSON ([`chrome_trace_json`],
-//!   loadable in `chrome://tracing`), a flat metrics document
-//!   ([`Recorder::metrics_json`]), and the text profile report
-//!   ([`report::profile_report`]) regenerating the paper's Table 3 and
-//!   §4.5 per-phase ablation.
+//!   loadable in `chrome://tracing`), the recorder's metric totals as
+//!   `ecl-metrics-v2` exposition lines ([`Expo::recorder`]), and the
+//!   text profile report ([`report::profile_report`]) regenerating the
+//!   paper's Table 3 and §4.5 per-phase ablation.
 //! * [`json`]: the shared hand-rolled JSON writer + parser every stats
 //!   surface in the workspace serializes through (the workspace builds
 //!   offline with no serde).
@@ -27,8 +27,9 @@
 //! * [`FlightRecorder`]: bounded per-subsystem rings of recent notes,
 //!   dumped as a digest-stamped `postmortem.json` on panic / WAL poison
 //!   / breaker open / device crash / watchdog.
-//! * [`expo`]: the `ecl-metrics-v2` Prometheus-style text exposition
-//!   behind `METRICS` and `serve --metrics-every`.
+//! * [`expo`]: the `ecl-metrics-v2` Prometheus-style text exposition —
+//!   the one metrics format: `METRICS`, `serve --metrics-every`,
+//!   `serve --metrics` and `profile --metrics` all write it.
 //!
 //! Shared persistence: [`durable`] holds the FNV-1a digest and the
 //! fsyncing write-temp-rename every crash-safe file goes through.
@@ -54,8 +55,8 @@ pub use flight::{
 pub use histo::{Histo, HistoSnapshot};
 pub use recorder::{LocalBuf, Recorder, DEFAULT_RING_CAPACITY};
 pub use trace::{
-    chrome_trace_json, parse_chrome_trace, tag_span, validate_chrome_trace, validate_metrics_json,
-    validate_trace_tree, ArgValue, EventKind, TraceCtx, TraceEvent, TraceSummary, TraceTree,
-    ARG_PARENT_ID, ARG_SPAN_ID, ARG_TRACE_ID, METRICS_SCHEMA, PID_ENGINE, PID_SIM, TRACE_SCHEMA,
+    chrome_trace_json, parse_chrome_trace, tag_span, validate_chrome_trace, validate_trace_tree,
+    ArgValue, EventKind, TraceCtx, TraceEvent, TraceSummary, TraceTree, ARG_PARENT_ID, ARG_SPAN_ID,
+    ARG_TRACE_ID, PID_ENGINE, PID_SIM, TRACE_SCHEMA,
 };
 pub use window::{SlidingWindow, WindowStats, WINDOWS_MS};

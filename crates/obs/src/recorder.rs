@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::Obj;
-use crate::trace::{chrome_trace_json, TraceEvent, METRICS_SCHEMA};
+use crate::trace::{chrome_trace_json, TraceEvent};
 
 /// Default per-thread ring-buffer capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
@@ -172,26 +171,6 @@ impl Recorder {
         }
         chrome_trace_json(&events, &md)
     }
-
-    /// Exports the flat metrics document
-    /// (`{"schema": "ecl-metrics-v1", "metrics": {...}}`).
-    pub fn metrics_json(&self) -> String {
-        let metrics = self.metrics();
-        let body: Vec<String> = metrics
-            .iter()
-            .map(|(k, v)| {
-                format!(
-                    "\"{}\":{}",
-                    crate::json::escape(k),
-                    crate::json::fmt_f64(*v)
-                )
-            })
-            .collect();
-        Obj::new()
-            .str("schema", METRICS_SCHEMA)
-            .raw("metrics", &format!("{{{}}}", body.join(",")))
-            .build()
-    }
 }
 
 /// A per-thread bounded ring buffer of events. Pushing never blocks and
@@ -242,7 +221,8 @@ impl LocalBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{validate_metrics_json, EventKind, PID_ENGINE};
+    use crate::expo::{parse_expo, render_expo, Expo};
+    use crate::trace::{EventKind, PID_ENGINE};
 
     #[test]
     fn disabled_recorder_stores_nothing() {
@@ -291,10 +271,21 @@ mod tests {
         r.add_metric("sim.instructions", 10.0);
         r.add_metric("sim.instructions", 5.0);
         r.set_metric("sim.l1_read_hit_ratio", 0.875);
-        let doc = r.metrics_json();
-        assert_eq!(validate_metrics_json(&doc).unwrap(), 2);
-        assert!(doc.contains("\"sim.instructions\":15"));
-        assert!(doc.contains("\"sim.l1_read_hit_ratio\":0.875"));
+        let mut e = Expo::new();
+        e.recorder(&r);
+        let doc = e.finish();
+        assert_eq!(
+            doc,
+            "# ecl-metrics-v2\necl_sim_instructions 15\necl_sim_l1_read_hit_ratio 0.875\n"
+        );
+        assert_eq!(render_expo(&parse_expo(&doc).unwrap()), doc);
+
+        // An empty recorder still yields a parseable, header-only file.
+        let mut e = Expo::new();
+        e.recorder(&Recorder::new());
+        let doc = e.finish();
+        assert_eq!(doc, "# ecl-metrics-v2\n");
+        assert!(parse_expo(&doc).unwrap().is_empty());
     }
 
     /// Satellite coverage for the drop-oldest ring under contention:

@@ -177,8 +177,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], metadata: &[(String, String)]) -
 
 /// Schema tag stamped into every trace document's `otherData`.
 pub const TRACE_SCHEMA: &str = "ecl-trace-v1";
-/// Schema tag stamped into every metrics document.
-pub const METRICS_SCHEMA: &str = "ecl-metrics-v1";
 
 /// Summary of a validated trace document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -431,27 +429,6 @@ pub fn validate_trace_tree(events: &[TraceEvent], trace_id_hex: &str) -> Result<
         root: roots.remove(0),
         cats,
     })
-}
-
-/// Validates a flat metrics document (`{"schema": ..., "metrics": {...}}`)
-/// and returns the number of metrics.
-pub fn validate_metrics_json(doc: &str) -> Result<usize, String> {
-    let v = json::parse(doc)?;
-    let schema = v.get("schema").and_then(Value::as_str);
-    if schema != Some(METRICS_SCHEMA) {
-        return Err(format!("schema is {schema:?}, expected {METRICS_SCHEMA:?}"));
-    }
-    match v.get("metrics") {
-        Some(Value::Obj(fields)) => {
-            for (k, v) in fields {
-                if !matches!(v, Value::Num(_)) {
-                    return Err(format!("metric {k:?} is not numeric"));
-                }
-            }
-            Ok(fields.len())
-        }
-        _ => Err("missing metrics object".into()),
-    }
 }
 
 #[cfg(test)]

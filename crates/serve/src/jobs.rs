@@ -263,6 +263,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             ev = ecl_obs::tag_span(ev, ctx, job.trace.map(|t| t.span_id));
         }
         shared.recorder.record(ev);
+        // The same job counter the batch engine's worker loop keeps.
+        shared.recorder.add_metric("engine.jobs", 1.0);
     }
     if watchdog {
         if let Some(f) = &shared.flight {

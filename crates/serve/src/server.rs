@@ -26,8 +26,8 @@ use crate::jobs::{JobRunner, JobsConfig};
 use crate::protocol::{parse_request, Request, RequestError, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use crate::state::ServeState;
 use crate::telemetry::ServeTelemetry;
-use ecl_engine::journal::write_atomic;
-use ecl_obs::{FlightRecorder, Recorder, TraceCtx, TraceEvent, PID_ENGINE};
+use ecl_obs::durable::write_atomic;
+use ecl_obs::{Expo, FlightRecorder, Recorder, TraceCtx, TraceEvent, PID_ENGINE};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +61,9 @@ pub struct ServeConfig {
     pub jobs: JobsConfig,
     /// Observability recorder (disabled by default).
     pub recorder: Recorder,
-    /// Where to write the final metrics JSON on drain, if anywhere.
+    /// Where to write the final `ecl-metrics-v2` exposition on drain, if
+    /// anywhere: the `METRICS` counters and histograms plus the
+    /// recorder's metric totals.
     pub metrics_path: Option<PathBuf>,
     /// Live-telemetry recording (latency histograms + sliding windows
     /// behind `METRICS`). On by default; the overhead harness A/Bs this
@@ -116,7 +118,6 @@ struct Counters {
     malformed: AtomicU64,
     idle_timeouts: AtomicU64,
     session_panics: AtomicU64,
-    requests: AtomicU64,
 }
 
 struct Shared {
@@ -132,13 +133,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// The operational counters the `METRICS` exposition reports. The
-    /// volatile `requests` counter is deliberately absent: `METRICS`
-    /// itself bumps it, which would break byte-stability across two
+    /// The `METRICS` exposition over `window`, with the operational
+    /// counters. There is deliberately no request counter: `METRICS`
+    /// would bump it, which would break byte-stability across two
     /// consecutive idle calls.
-    fn exposition_counters(&self) -> Vec<(&'static str, u64)> {
+    fn expo(&self, window: (&str, u64)) -> Expo {
         let c = &self.counters;
-        vec![
+        let counters = [
             ("sessions_opened", c.sessions_opened.load(Ordering::Relaxed)),
             ("sessions_active", c.active_sessions.load(Ordering::SeqCst)),
             ("rejected_busy", c.rejected_busy.load(Ordering::Relaxed)),
@@ -146,7 +147,8 @@ impl Shared {
             ("idle_timeouts", c.idle_timeouts.load(Ordering::Relaxed)),
             ("session_panics", c.session_panics.load(Ordering::Relaxed)),
             ("queue_depth", self.jobs.queue_depth() as u64),
-        ]
+        ];
+        self.telemetry.expo(&counters, window)
     }
 }
 
@@ -222,41 +224,21 @@ impl Server {
     }
 
     /// Waits for the drain to complete. Returns an error if the final
-    /// snapshot could not be written.
+    /// snapshot or metrics file could not be written.
     pub fn join(self) -> Result<(), String> {
         if let Some(h) = self.accept_thread.lock().unwrap().take() {
             h.join().map_err(|_| "accept loop panicked".to_string())?;
         }
         // The accept loop has drained sessions and jobs; persist.
         self.shared.state.snapshot()?;
+        if let Some(path) = &self.shared.cfg.metrics_path {
+            let mut e = self.shared.expo(("10s", 10_000));
+            e.recorder(&self.shared.recorder);
+            write_atomic(path, e.finish().as_bytes())
+                .map_err(|e| format!("write metrics {}: {e}", path.display()))?;
+        }
         let r = &self.shared.recorder;
         if r.is_enabled() {
-            let c = &self.shared.counters;
-            r.set_metric(
-                "serve.sessions_opened",
-                c.sessions_opened.load(Ordering::Relaxed) as f64,
-            );
-            r.set_metric(
-                "serve.rejected_busy",
-                c.rejected_busy.load(Ordering::Relaxed) as f64,
-            );
-            r.set_metric(
-                "serve.malformed",
-                c.malformed.load(Ordering::Relaxed) as f64,
-            );
-            r.set_metric(
-                "serve.idle_timeouts",
-                c.idle_timeouts.load(Ordering::Relaxed) as f64,
-            );
-            r.set_metric(
-                "serve.session_panics",
-                c.session_panics.load(Ordering::Relaxed) as f64,
-            );
-            r.set_metric("serve.requests", c.requests.load(Ordering::Relaxed) as f64);
-            if let Some(path) = &self.shared.cfg.metrics_path {
-                std::fs::write(path, r.metrics_json())
-                    .map_err(|e| format!("write metrics {}: {e}", path.display()))?;
-            }
             if let Some(path) = &self.shared.cfg.trace_path {
                 let md = [("tool".to_string(), "ecl-serve".to_string())];
                 std::fs::write(path, r.chrome_trace_json(&md))
@@ -276,22 +258,19 @@ impl Server {
 fn metrics_dump_loop(shared: Arc<Shared>) {
     let period = Duration::from_secs(shared.cfg.metrics_every.max(1));
     let path = shared.cfg.dir.join("metrics.prom");
+    let dump = || {
+        let _ = write_atomic(&path, shared.expo(("10s", 10_000)).finish().as_bytes());
+    };
     let mut last = Instant::now();
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
         if last.elapsed() >= period {
             last = Instant::now();
-            let text = shared
-                .telemetry
-                .exposition(&shared.exposition_counters(), ("10s", 10_000));
-            let _ = write_atomic(&path, text.as_bytes());
+            dump();
         }
     }
     // A final dump on drain, so short-lived servers leave one behind.
-    let text = shared
-        .telemetry
-        .exposition(&shared.exposition_counters(), ("10s", 10_000));
-    let _ = write_atomic(&path, text.as_bytes());
+    dump();
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -453,7 +432,6 @@ fn run_session(mut stream: TcpStream, shared: &Arc<Shared>) {
             ReadOutcome::Draining => return,
         };
 
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let t_req = Instant::now();
         let parsed = parse_request(&line);
         // Latency class for the telemetry plane. `METRICS` is `None` —
@@ -543,9 +521,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Handled {
                     shared.jobs.queue_depth() as f64,
                 ));
             }
-            let text = shared
-                .telemetry
-                .exposition(&shared.exposition_counters(), (win.label(), win.ms()));
+            let text = shared.expo((win.label(), win.ms())).finish();
             // `lines=N` counts every exposition line (header included);
             // the client reads exactly N more lines after this one.
             let body = text.trim_end_matches('\n');

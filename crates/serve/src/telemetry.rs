@@ -82,22 +82,12 @@ impl ServeTelemetry {
         self.window.record_at(self.now_ms(), latency_us);
     }
 
-    /// Renders the full `ecl-metrics-v2` exposition: the supplied
+    /// Builds the full `ecl-metrics-v2` exposition: the supplied
     /// operational counters (emitted as `ecl_<name>`), per-class and
     /// overall latency histograms, and p50/p90/p99/QPS over the
     /// requested window. `window` is a `(label, ms)` pair (e.g.
     /// `("10s", 10_000)`).
-    pub fn exposition(&self, counters: &[(&str, u64)], window: (&str, u64)) -> String {
-        self.build(counters, window).finish()
-    }
-
-    /// Number of sample lines [`exposition`](Self::exposition) would
-    /// emit — the `lines=N` count in the `METRICS` reply header.
-    pub fn exposition_lines(&self, counters: &[(&str, u64)], window: (&str, u64)) -> usize {
-        self.build(counters, window).len()
-    }
-
-    fn build(&self, counters: &[(&str, u64)], (label, window_ms): (&str, u64)) -> Expo {
+    pub fn expo(&self, counters: &[(&str, u64)], (label, window_ms): (&str, u64)) -> Expo {
         let mut e = Expo::new();
         for &(name, v) in counters {
             e.line(&format!("ecl_{name}"), &[], v as f64);
@@ -139,9 +129,9 @@ mod tests {
         t.record("conn", 80);
         t.record("weird", 33); // folds into "other"
         let counters = [("sessions_opened", 2u64), ("malformed", 0)];
-        let text = t.exposition(&counters, ("10s", 10_000));
+        let text = t.expo(&counters, ("10s", 10_000)).finish();
         let lines = parse_expo(&text).expect("exposition must validate");
-        assert_eq!(lines.len(), t.exposition_lines(&counters, ("10s", 10_000)));
+        assert_eq!(lines.len(), t.expo(&counters, ("10s", 10_000)).len());
         assert!(lines
             .iter()
             .any(|l| l.name == "ecl_sessions_opened" && l.value == 2.0));
@@ -165,7 +155,7 @@ mod tests {
     fn disabled_plane_records_nothing() {
         let t = ServeTelemetry::new(false);
         t.record("add", 500);
-        let text = t.exposition(&[], ("1s", 1_000));
+        let text = t.expo(&[], ("1s", 1_000)).finish();
         let lines = parse_expo(&text).unwrap();
         let all_count = lines
             .iter()
@@ -180,8 +170,8 @@ mod tests {
         // regardless of elapsed time: empty windows report zeros and
         // empty histograms have a fixed line count.
         let t = ServeTelemetry::new(true);
-        let a = t.exposition(&[("requests", 0)], ("60s", 60_000));
-        let b = t.exposition(&[("requests", 0)], ("60s", 60_000));
+        let a = t.expo(&[("requests", 0)], ("60s", 60_000)).finish();
+        let b = t.expo(&[("requests", 0)], ("60s", 60_000)).finish();
         assert_eq!(a, b);
     }
 }

@@ -39,11 +39,11 @@
 use crate::checkpoint::{read_checkpoint, write_checkpoint};
 use crate::interconnect::{ExchangeStats, Interconnect, LinkModel};
 use ecl_cc::ladder::{self, LadderConfig};
-use ecl_cc::{CcResult, EclConfig, EclError};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, FaultRng, Gpu};
+use ecl_cc::{CcResult, EclError};
+use ecl_gpu_sim::{FaultPlan, FaultRng, Gpu};
 use ecl_graph::partition::{partition_blocks, Partition};
 use ecl_graph::{CsrGraph, Vertex};
-use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
+use ecl_obs::{TraceEvent, PID_ENGINE};
 use ecl_verify::Certificate;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -53,21 +53,15 @@ use std::path::PathBuf;
 pub struct ShardConfig {
     /// Number of shards (= simulated devices before any crash); min 1.
     pub shards: usize,
-    /// Algorithm configuration for every local solve (and the degraded
-    /// ladder).
-    pub cc: EclConfig,
-    /// Device profile for every simulated device.
-    pub profile: DeviceProfile,
-    /// Fault plan: the simulator knobs perturb each local solve, the
-    /// interconnect knobs (`drop=`/`corrupt=`/`crash=`) perturb the
-    /// exchange, all from one seed.
-    pub fault: FaultPlan,
-    /// Per-kernel cycle budget for each device's watchdog, if any.
-    pub watchdog: Option<u64>,
-    /// Execution mode for each device's local solve.
-    pub exec: ExecMode,
-    /// Threads for the parallel-CPU stage of the degraded ladder.
-    pub threads: usize,
+    /// Every local solve runs with this ladder's `cc`, `profile`,
+    /// `watchdog` and `exec`, and records into its `recorder` (per-device
+    /// kernel timelines via `set_timeline_origin`, round spans,
+    /// crash/recovery instants, `shard.*` metrics). Its `fault` plan's
+    /// simulator knobs perturb each local solve, and its interconnect
+    /// knobs (`drop=`/`corrupt=`/`crash=`) perturb the exchange, all
+    /// from one seed. On degrade the whole ladder runs, with the
+    /// interconnect knobs stripped from its fault plan.
+    pub ladder: LadderConfig,
     /// Interconnect latency model.
     pub link: LinkModel,
     /// Directory for round-boundary label-frontier checkpoints; `None`
@@ -77,10 +71,6 @@ pub struct ShardConfig {
     /// Device crashes tolerated before degrading to the single-device
     /// ladder. 0 degrades on the first crash.
     pub crash_budget: u32,
-    /// Observability recorder: per-device kernel timelines (via
-    /// `set_timeline_origin`), round spans, crash/recovery instants,
-    /// and `shard.*` metrics.
-    pub recorder: Option<Recorder>,
     /// Flight recorder fed with crash/recovery/degrade notes. On a
     /// device crash the coordinator also dumps `postmortem.json` into
     /// `flight_dir` (when set) — one of the always-on dump triggers.
@@ -93,16 +83,10 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 2,
-            cc: EclConfig::default(),
-            profile: DeviceProfile::test_tiny(),
-            fault: FaultPlan::none(),
-            watchdog: None,
-            exec: ExecMode::Serial,
-            threads: 4,
+            ladder: LadderConfig::default(),
             link: LinkModel::default(),
             checkpoint_dir: None,
             crash_budget: 1,
-            recorder: None,
             flight: None,
             flight_dir: None,
         }
@@ -233,9 +217,9 @@ fn solve_local(
     timeline_origin: u64,
 ) -> LocalSolve {
     for attempt in 0..2u64 {
-        let mut gpu = Gpu::new(cfg.profile.clone());
-        gpu.set_exec_mode(cfg.exec);
-        let mut plan = sim_only(&cfg.fault);
+        let mut gpu = Gpu::new(cfg.ladder.profile.clone());
+        gpu.set_exec_mode(cfg.ladder.exec);
+        let mut plan = sim_only(&cfg.ladder.fault);
         // Per-(device, attempt) seed, like the ladder's per-attempt
         // reseed, so a deterministic watchdog trip is not retried into
         // the identical wall.
@@ -244,12 +228,12 @@ fn solve_local(
             .wrapping_add((device as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15))
             .wrapping_add(attempt);
         gpu.set_fault_plan(plan);
-        gpu.set_watchdog(cfg.watchdog);
-        if let Some(r) = &cfg.recorder {
+        gpu.set_watchdog(cfg.ladder.watchdog);
+        if let Some(r) = &cfg.ladder.recorder {
             gpu.set_recorder(Some(r.clone()));
             gpu.set_timeline_origin(timeline_origin);
         }
-        if let Ok((res, _)) = ecl_cc::gpu::try_run(&mut gpu, shard_graph, &cfg.cc) {
+        if let Ok((res, _)) = ecl_cc::gpu::try_run(&mut gpu, shard_graph, &cfg.ladder.cc) {
             return LocalSolve {
                 labels: res.labels,
                 cycles: gpu.total_cycles(),
@@ -257,10 +241,12 @@ fn solve_local(
             };
         }
     }
-    let labels = if cfg.cc.sampling.is_some() {
-        ecl_cc::sampling::run_serial(shard_graph, &cfg.cc).0.labels
+    let labels = if cfg.ladder.cc.sampling.is_some() {
+        ecl_cc::sampling::run_serial(shard_graph, &cfg.ladder.cc)
+            .0
+            .labels
     } else {
-        ecl_cc::serial::run(shard_graph, &cfg.cc).labels
+        ecl_cc::serial::run(shard_graph, &cfg.ladder.cc).labels
     };
     LocalSolve {
         labels,
@@ -315,7 +301,7 @@ fn degrade(
     mut report: ShardReport,
 ) -> Result<ShardOutcome, EclError> {
     report.degraded = true;
-    if let Some(r) = &cfg.recorder {
+    if let Some(r) = &cfg.ladder.recorder {
         r.record(TraceEvent::instant(
             "shard.degrade",
             "shard",
@@ -326,14 +312,8 @@ fn degrade(
         r.add_metric("shard.degraded", 1.0);
     }
     let ladder_cfg = LadderConfig {
-        cc: cfg.cc,
-        threads: cfg.threads,
-        profile: cfg.profile.clone(),
-        fault: sim_only(&cfg.fault),
-        watchdog: cfg.watchdog,
-        exec: cfg.exec,
-        recorder: cfg.recorder.clone(),
-        ..LadderConfig::default()
+        fault: sim_only(&cfg.ladder.fault),
+        ..cfg.ladder.clone()
     };
     let outcome = ladder::run_with_fallback(g, &ladder_cfg)?;
     Ok(ShardOutcome {
@@ -396,9 +376,9 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
         .collect();
     let mut alive = vec![true; num_shards];
 
-    let mut net = Interconnect::new(&cfg.fault, cfg.link);
-    let mut crash_rng = FaultRng::new(cfg.fault.seed, 0x0c4a_54ed);
-    let mut crash_pending = cfg.fault.device_crash_at_round;
+    let mut net = Interconnect::new(&cfg.ladder.fault, cfg.link);
+    let mut crash_rng = FaultRng::new(cfg.ladder.fault.seed, 0x0c4a_54ed);
+    let mut crash_pending = cfg.ladder.fault.device_crash_at_round;
     let mut crashes: u32 = 0;
 
     let write_frontier =
@@ -421,7 +401,7 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
     // component's shard-quotient graph, whose diameter is < #shards;
     // crashes reset at most the lost shards. The hard cap only guards
     // against coordinator bugs.
-    let max_rounds = 10 * num_shards as u64 + 16 + cfg.fault.device_crash_at_round;
+    let max_rounds = 10 * num_shards as u64 + 16 + cfg.ladder.fault.device_crash_at_round;
     let mut round: u64 = 0;
     loop {
         round += 1;
@@ -438,7 +418,7 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
             let live: Vec<usize> = (0..num_shards).filter(|&d| alive[d]).collect();
             let victim = live[crash_rng.below(live.len() as u64) as usize];
             alive[victim] = false;
-            if let Some(r) = &cfg.recorder {
+            if let Some(r) = &cfg.ladder.recorder {
                 r.record(TraceEvent::instant(
                     &format!("shard.crash device={victim}"),
                     "shard",
@@ -484,7 +464,7 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
                     restore_from_frontier(&part, s, &mut states[s], f);
                 }
                 report.shards_recovered += 1;
-                if let Some(r) = &cfg.recorder {
+                if let Some(r) = &cfg.ladder.recorder {
                     r.record(TraceEvent::instant(
                         &format!("shard.recover shard={s} device={new_device}"),
                         "shard",
@@ -503,7 +483,7 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
             }
         }
 
-        let round_t0 = cfg.recorder.as_ref().map(|r| r.now_us());
+        let round_t0 = cfg.ladder.recorder.as_ref().map(|r| r.now_us());
         let mut changed = false;
         for (&(src, dst), verts) in &pair_verts {
             let payload: Vec<(u32, u32)> = verts
@@ -544,7 +524,7 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
             }
         }
 
-        if let (Some(r), Some(t0)) = (&cfg.recorder, round_t0) {
+        if let (Some(r), Some(t0)) = (&cfg.ladder.recorder, round_t0) {
             let now = r.now_us();
             r.record(TraceEvent::span(
                 &format!("shard.round {round}"),
@@ -570,7 +550,7 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
     // ---- assemble, certify, report ------------------------------------
     let labels = assemble_labels(&part, &states);
     let certificate = ecl_verify::certify_canonical(g, &labels).map_err(EclError::Verification)?;
-    if let Some(r) = &cfg.recorder {
+    if let Some(r) = &cfg.ladder.recorder {
         r.add_metric("shard.devices", num_shards as f64);
         r.add_metric("shard.rounds", report.rounds as f64);
         r.add_metric("shard.shared_vertices", report.shared_vertices as f64);

@@ -35,11 +35,25 @@ pub use interconnect::{ExchangeStats, Interconnect, LinkError, LinkModel};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecl_cc::LadderConfig;
     use ecl_gpu_sim::FaultPlan;
     use ecl_graph::generate;
 
     fn serial_labels(g: &ecl_graph::CsrGraph) -> Vec<u32> {
         ecl_cc::connected_components(g).labels
+    }
+
+    /// `shards` devices under `fault`, everything else default.
+    fn faulted(shards: usize, fault: FaultPlan) -> ShardConfig {
+        let ladder = LadderConfig {
+            fault,
+            ..LadderConfig::default()
+        };
+        ShardConfig {
+            shards,
+            ladder,
+            ..ShardConfig::default()
+        }
     }
 
     #[test]
@@ -72,11 +86,7 @@ mod tests {
         let g = generate::gnm_random(400, 900, 11);
         let want = serial_labels(&g);
         for seed in 1..=5u64 {
-            let cfg = ShardConfig {
-                shards: 4,
-                fault: FaultPlan::shard_chaos(seed),
-                ..ShardConfig::default()
-            };
+            let cfg = faulted(4, FaultPlan::shard_chaos(seed));
             let out = run_sharded(&g, &cfg).unwrap();
             assert_eq!(out.result.labels, want, "seed {seed} diverged");
             assert!(
@@ -95,11 +105,9 @@ mod tests {
         let mut fault = FaultPlan::shard_chaos(9);
         fault.device_crash_at_round = 2;
         let cfg = ShardConfig {
-            shards: 4,
-            fault,
             checkpoint_dir: Some(dir.clone()),
             crash_budget: 1,
-            ..ShardConfig::default()
+            ..faulted(4, fault)
         };
         let out = run_sharded(&g, &cfg).unwrap();
         assert_eq!(out.result.labels, want);
@@ -117,11 +125,7 @@ mod tests {
         let mut fault = FaultPlan::none();
         fault.seed = 4;
         fault.device_crash_at_round = 1;
-        let cfg = ShardConfig {
-            shards: 3,
-            fault,
-            ..ShardConfig::default()
-        };
+        let cfg = faulted(3, fault);
         let out = run_sharded(&g, &cfg).unwrap();
         assert_eq!(out.result.labels, serial_labels(&g));
         assert_eq!(out.report.device_crashes, 1);
@@ -134,10 +138,8 @@ mod tests {
         fault.seed = 2;
         fault.device_crash_at_round = 1;
         let cfg = ShardConfig {
-            shards: 2,
-            fault,
             crash_budget: 0,
-            ..ShardConfig::default()
+            ..faulted(2, fault)
         };
         let out = run_sharded(&g, &cfg).unwrap();
         assert!(out.report.degraded);
@@ -152,12 +154,8 @@ mod tests {
         let g = generate::gnm_random(400, 1200, 21);
         let want = serial_labels(&g);
         for (shards, fault) in [(2, FaultPlan::none()), (4, FaultPlan::shard_chaos(3))] {
-            let cfg = ShardConfig {
-                shards,
-                fault,
-                cc: ecl_cc::EclConfig::with_sampling(2),
-                ..ShardConfig::default()
-            };
+            let mut cfg = faulted(shards, fault);
+            cfg.ladder.cc = ecl_cc::EclConfig::with_sampling(2);
             let out = run_sharded(&g, &cfg).unwrap();
             assert_eq!(out.result.labels, want, "shards={shards} diverged");
             assert!(out.certificate.canonical);
@@ -167,15 +165,7 @@ mod tests {
     #[test]
     fn report_json_is_flat_and_parseable() {
         let g = generate::gnm_random(200, 400, 1);
-        let out = run_sharded(
-            &g,
-            &ShardConfig {
-                shards: 3,
-                fault: FaultPlan::shard_chaos(1),
-                ..ShardConfig::default()
-            },
-        )
-        .unwrap();
+        let out = run_sharded(&g, &faulted(3, FaultPlan::shard_chaos(1))).unwrap();
         let json = out.report.to_json();
         let v = ecl_obs::json::parse(&json).expect("report JSON parses");
         let obj = match v {

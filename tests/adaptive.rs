@@ -8,7 +8,7 @@
 //! adaptive labels must equal baseline serial ECL-CC exactly — while
 //! inspecting no more edges than the full pass.
 
-use ecl_cc::{EclConfig, SampleStats};
+use ecl_cc::{EclConfig, LadderConfig, SampleStats};
 use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
 use ecl_graph::CsrGraph;
 use ecl_integration::corpus;
@@ -77,7 +77,10 @@ fn sharded_two_devices_byte_identical() {
         for k in KS {
             let cfg = ecl_shard::ShardConfig {
                 shards: 2,
-                cc: EclConfig::with_sampling(k),
+                ladder: LadderConfig {
+                    cc: EclConfig::with_sampling(k),
+                    ..LadderConfig::default()
+                },
                 ..ecl_shard::ShardConfig::default()
             };
             let out = ecl_shard::run_sharded(&g, &cfg).unwrap();
@@ -110,8 +113,11 @@ fn fault_plans_never_break_byte_identity() {
         }
         let cfg = ecl_shard::ShardConfig {
             shards: 3,
-            cc: EclConfig::with_sampling(2),
-            fault: FaultPlan::shard_chaos(11),
+            ladder: LadderConfig {
+                cc: EclConfig::with_sampling(2),
+                fault: FaultPlan::shard_chaos(11),
+                ..LadderConfig::default()
+            },
             ..ecl_shard::ShardConfig::default()
         };
         let out = ecl_shard::run_sharded(g, &cfg).unwrap();

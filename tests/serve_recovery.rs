@@ -145,7 +145,13 @@ fn test_config(dir: PathBuf) -> ServeConfig {
 #[test]
 fn live_server_protocol_busy_jobs_and_drain_resume() {
     let dir = tmpdir("live");
-    let server = Server::start(test_config(dir.clone())).unwrap();
+    let metrics = dir.join("final.prom");
+    let server = Server::start(ServeConfig {
+        recorder: ecl_obs::Recorder::new(),
+        metrics_path: Some(metrics.clone()),
+        ..test_config(dir.clone())
+    })
+    .unwrap();
     let addr = server.local_addr().to_string();
 
     let mut c = Client::connect(&addr).unwrap();
@@ -234,6 +240,22 @@ fn live_server_protocol_busy_jobs_and_drain_resume() {
     assert_eq!(c.request("SHUTDOWN").unwrap(), "OK draining");
     drop(c);
     server.join().unwrap();
+
+    // The drain-time metrics file is the same exposition plus the
+    // recorder totals: the SUBMIT above shows up as `ecl_engine_jobs`.
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    let lines = ecl_obs::parse_expo(&doc).expect("metrics file parses as ecl-metrics-v2");
+    let has = |name: &str, cmd: Option<&str>| {
+        lines.iter().any(|l| {
+            l.name == name
+                && l.value > 0.0
+                && cmd.is_none_or(|c| l.labels.contains(&("cmd".into(), c.into())))
+        })
+    };
+    assert!(has("ecl_sessions_opened", None), "{doc}");
+    assert!(has("ecl_request_latency_us_bucket", Some("all")), "{doc}");
+    assert!(has("ecl_request_latency_us_count", Some("all")), "{doc}");
+    assert!(has("ecl_engine_jobs", None), "{doc}");
 
     // Resume sees the exact acknowledged state.
     let mut cfg = test_config(dir);

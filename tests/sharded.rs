@@ -4,6 +4,7 @@
 //! canonical by `ecl-verify` — including device-crash recovery in
 //! degraded N−1 mode.
 
+use ecl_cc::LadderConfig;
 use ecl_gpu_sim::{ExecMode, FaultPlan};
 use ecl_graph::catalog::{PaperGraph, Scale};
 use ecl_shard::{run_sharded, ShardConfig};
@@ -56,7 +57,10 @@ fn sharded_byte_identical_under_shard_chaos() {
             for seed in [1u64, 7, 1234] {
                 let cfg = ShardConfig {
                     shards,
-                    fault: FaultPlan::shard_chaos(seed),
+                    ladder: LadderConfig {
+                        fault: FaultPlan::shard_chaos(seed),
+                        ..LadderConfig::default()
+                    },
                     ..ShardConfig::default()
                 };
                 let out = run_sharded(&g, &cfg).unwrap();
@@ -81,8 +85,11 @@ fn sharded_byte_identical_across_worker_counts() {
     for workers in [1usize, 2, 4] {
         let cfg = ShardConfig {
             shards: 4,
-            exec: ExecMode::HostParallel(workers),
-            fault: FaultPlan::shard_chaos(3),
+            ladder: LadderConfig {
+                exec: ExecMode::HostParallel(workers),
+                fault: FaultPlan::shard_chaos(3),
+                ..LadderConfig::default()
+            },
             ..ShardConfig::default()
         };
         let out = run_sharded(&g, &cfg).unwrap();
@@ -105,7 +112,10 @@ fn sharded_crash_recovery_byte_identical() {
             fault.device_crash_at_round = 2;
             let cfg = ShardConfig {
                 shards: 4,
-                fault,
+                ladder: LadderConfig {
+                    fault,
+                    ..LadderConfig::default()
+                },
                 checkpoint_dir: Some(dir.clone()),
                 crash_budget: 1,
                 ..ShardConfig::default()
@@ -140,7 +150,10 @@ fn sharded_chaos_replays_bit_for_bit() {
     let run = || {
         let cfg = ShardConfig {
             shards: 4,
-            fault: FaultPlan::shard_chaos(21),
+            ladder: LadderConfig {
+                fault: FaultPlan::shard_chaos(21),
+                ..LadderConfig::default()
+            },
             ..ShardConfig::default()
         };
         let out = run_sharded(&g, &cfg).unwrap();
@@ -167,9 +180,12 @@ fn sharded_run_is_observable() {
     fault.device_crash_at_round = 1;
     let cfg = ShardConfig {
         shards: 3,
-        fault,
+        ladder: LadderConfig {
+            fault,
+            recorder: Some(rec.clone()),
+            ..LadderConfig::default()
+        },
         crash_budget: 1,
-        recorder: Some(rec.clone()),
         ..ShardConfig::default()
     };
     let out = run_sharded(&g, &cfg).unwrap();
