@@ -239,14 +239,17 @@ for G in soc-LiveJournal1 2d-2e20.sym; do
     "$ECL" generate "$G" -o "$BATCH_DIR/adapt.ecl" --scale tiny > /dev/null
     "$ECL" components "$BATCH_DIR/adapt.ecl" \
         --labels "$BATCH_DIR/adapt-base.labels" > /dev/null
-    for ALGO in serial parallel gpu; do
-        "$ECL" components "$BATCH_DIR/adapt.ecl" --algo "$ALGO" --sampling 2 \
-            --labels "$BATCH_DIR/adapt-samp.labels" > /dev/null
-        cmp -s "$BATCH_DIR/adapt-base.labels" "$BATCH_DIR/adapt-samp.labels" \
-            || { echo "$G: --sampling 2 ($ALGO) labels differ from baseline"; exit 1; }
+    for ALGO in serial "parallel --threads 1" "parallel --threads 2" gpu; do
+        for SAMP in "" "--sampling 2"; do
+            # $ALGO and $SAMP are unquoted on purpose: each is a word list.
+            "$ECL" components "$BATCH_DIR/adapt.ecl" --algo $ALGO $SAMP \
+                --labels "$BATCH_DIR/adapt-samp.labels" > /dev/null
+            cmp -s "$BATCH_DIR/adapt-base.labels" "$BATCH_DIR/adapt-samp.labels" \
+                || { echo "$G: --algo $ALGO $SAMP labels differ from baseline"; exit 1; }
+        done
     done
 done
-echo "    --sampling 2 labels byte-identical to baseline (serial/parallel/gpu, both graphs)"
+echo "    labels byte-identical to baseline with and without --sampling 2 (serial, parallel x1/x2, gpu; both graphs)"
 
 echo "==> harness adaptive gate"
 # The full experiment: byte-identity on every graph plus the acceptance

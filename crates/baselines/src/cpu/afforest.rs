@@ -12,7 +12,7 @@
 use ecl_cc::CcResult;
 use ecl_graph::{CsrGraph, Vertex};
 use ecl_parallel::{parallel_for, Schedule};
-use ecl_unionfind::AtomicParents;
+use ecl_unionfind::{AtomicParents, ParentStore};
 
 /// Edges per vertex linked in the sampling phase (the paper's default).
 const NEIGHBOR_ROUNDS: usize = 2;
@@ -58,7 +58,7 @@ pub fn run(g: &CsrGraph, threads: usize) -> CcResult {
         parallel_for(threads, n, Schedule::Static, move |v| {
             let v = v as Vertex;
             let root = parents.find_naive(v);
-            parents.set_parent(v, root);
+            parents.set(v, root);
         });
     }
     CcResult::new(parents.snapshot())

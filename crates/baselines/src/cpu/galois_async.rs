@@ -8,7 +8,7 @@
 use ecl_cc::CcResult;
 use ecl_graph::CsrGraph;
 use ecl_parallel::{parallel_for, Schedule};
-use ecl_unionfind::AtomicParents;
+use ecl_unionfind::{AtomicParents, ParentStore};
 
 /// Runs Galois-style asynchronous union-find CC with `threads` workers.
 pub fn run(g: &CsrGraph, threads: usize) -> CcResult {
@@ -35,7 +35,7 @@ pub fn run(g: &CsrGraph, threads: usize) -> CcResult {
         parallel_for(threads, n, Schedule::Dynamic { chunk: 256 }, move |v| {
             let v = v as u32;
             let root = parents.find_naive(v);
-            parents.set_parent(v, root);
+            parents.set(v, root);
         });
     }
     CcResult::new(parents.snapshot())

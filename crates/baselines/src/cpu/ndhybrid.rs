@@ -18,7 +18,7 @@ use super::parallel_expand;
 use ecl_cc::CcResult;
 use ecl_graph::{CsrGraph, Vertex};
 use ecl_parallel::{parallel_for, Schedule};
-use ecl_unionfind::AtomicParents;
+use ecl_unionfind::{AtomicParents, ParentStore};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 const UNSET: u32 = u32::MAX;

@@ -185,8 +185,6 @@ pub fn run_algorithm_cfg(
         f(&mut gpu, g).result
     };
     Ok(match name {
-        "serial" if sampling.is_some() => ecl_cc::sampling::run_serial(g, &cfg).0,
-        "parallel" if sampling.is_some() => ecl_cc::sampling::run_parallel(g, threads, &cfg).0,
         "serial" => ecl_cc::serial::run(g, &cfg),
         "parallel" => ecl_cc::parallel::run(g, threads, &cfg),
         "gpu" => {

@@ -80,7 +80,8 @@ pub struct EclConfig {
     /// find (untimed), producing the Table 4 statistics.
     pub record_path_lengths: bool,
     /// Adaptive neighbor sampling + giant-component short-circuit.
-    /// `None` (the default) runs the paper's full edge pass.
+    /// `None` (the default) runs the paper's full edge pass. Every `run`
+    /// entry point honours it: serial, parallel and simulated GPU.
     pub sampling: Option<SamplingConfig>,
 }
 

@@ -11,7 +11,7 @@
 use crate::error::EclError;
 use crate::result::CcResult;
 use ecl_graph::Vertex;
-use ecl_unionfind::AtomicParents;
+use ecl_unionfind::{AtomicParents, ParentStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A lock-free streaming connected-components structure.
@@ -112,7 +112,7 @@ impl IncrementalCc {
             if ru == rv {
                 return true;
             }
-            if self.parents.parent(ru) == ru {
+            if self.parents.get(ru) == ru {
                 return false;
             }
         }
@@ -179,7 +179,7 @@ impl IncrementalCc {
     pub fn finish(self) -> CcResult {
         for v in 0..self.parents.len() as Vertex {
             let root = self.parents.find_naive(v);
-            self.parents.set_parent(v, root);
+            self.parents.set(v, root);
         }
         CcResult::new(self.parents.snapshot())
     }

@@ -339,11 +339,7 @@ fn run_stage(
         }
         Backend::ParallelCpu => {
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                if cc.sampling.is_some() {
-                    crate::sampling::run_parallel(g, cfg.threads.max(1), cc).0
-                } else {
-                    parallel::run(g, cfg.threads.max(1), cc)
-                }
+                parallel::run(g, cfg.threads.max(1), cc)
             }));
             caught.map_err(|p| EclError::StagePanicked {
                 stage: backend.name().to_string(),
@@ -351,13 +347,7 @@ fn run_stage(
             })
         }
         Backend::Serial => {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                if cc.sampling.is_some() {
-                    crate::sampling::run_serial(g, cc).0
-                } else {
-                    serial::run(g, cc)
-                }
-            }));
+            let caught = catch_unwind(AssertUnwindSafe(|| serial::run(g, cc)));
             caught.map_err(|p| EclError::StagePanicked {
                 stage: backend.name().to_string(),
                 detail: panic_message(&p),

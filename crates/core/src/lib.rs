@@ -15,15 +15,17 @@
 //!
 //! * [`serial`] — plain sequential code (the paper's ECL-CC_SER),
 //! * [`parallel`] — the OpenMP-style port on the workspace thread pool
-//!   with a lock-free atomic parent array (ECL-CC_OMP),
+//!   (ECL-CC_OMP). It runs the same pipeline body as [`serial`], only
+//!   over a lock-free atomic parent array with the CAS hook instead of a
+//!   `[Cell<u32>]` with a plain-store hook,
 //! * [`gpu`] — the five-kernel CUDA structure on the SIMT simulator
 //!   (init, three degree-bucketed compute kernels fed by a double-sided
 //!   worklist, finalize) — the paper's headline implementation.
 //!
 //! [`sampling`] adds the adaptive work-efficient variant (neighbor
 //! sampling + giant-component short-circuit) on top of all three,
-//! enabled via [`config::SamplingConfig`]; labels stay byte-identical
-//! to the full pass.
+//! enabled via [`config::SamplingConfig`], which every `run` honours;
+//! labels stay byte-identical to the full pass.
 //!
 //! Every phase is configurable via [`config::EclConfig`] to regenerate the
 //! paper's §5.1 ablations (Init1/2/3 × Jump1/2/3/4 × Fini1/2/3).
@@ -37,6 +39,7 @@ pub mod gpu;
 pub mod incremental;
 pub mod ladder;
 pub mod parallel;
+mod pipeline;
 pub mod result;
 pub mod sampling;
 pub mod serial;

@@ -3,18 +3,20 @@
 //! the vertices, with the lock-free atomic parent array from
 //! `ecl-unionfind` (gcc's `__sync_val_compare_and_swap` becomes
 //! `AtomicU32::compare_exchange`). No worklist, a single computation
-//! function (§3).
+//! function (§3). The phases are the shared `crate::pipeline` body, the
+//! same one [`crate::serial`] runs.
 
-use crate::config::{EclConfig, FiniKind};
+use crate::config::EclConfig;
+use crate::pipeline::{self, PhaseCounters, Sweep, Tally};
 use crate::result::CcResult;
-use crate::serial::init_label;
+use crate::sampling::SampleStats;
 use ecl_graph::{CsrGraph, Vertex};
 use ecl_parallel::{parallel_for, Schedule};
-use ecl_unionfind::concurrent::JumpKind;
 use ecl_unionfind::AtomicParents;
 use std::sync::atomic::Ordering;
 
-/// Runs parallel ECL-CC with `threads` workers under `cfg`.
+/// Runs parallel ECL-CC with `threads` workers under `cfg` (with
+/// adaptive sampling when `cfg.sampling` is set).
 pub fn run(g: &CsrGraph, threads: usize, cfg: &EclConfig) -> CcResult {
     run_with_schedule(g, threads, Schedule::GUIDED, cfg)
 }
@@ -27,131 +29,75 @@ pub fn run_with_schedule(
     schedule: Schedule,
     cfg: &EclConfig,
 ) -> CcResult {
-    let parents = init_phase(g, threads, schedule, cfg);
-    compute_phase(g, &parents, threads, schedule, cfg, None);
-    finalize_phase(&parents, threads, schedule, cfg.fini);
-    CcResult::new(parents.snapshot())
+    run_counted(g, threads, cfg, schedule, &()).0
 }
 
-/// Phase 1: allocate the atomic parent array once and write the initial
-/// labels straight into it from the workers — no scratch `Vec<AtomicU32>`,
-/// no unwrap-and-rewrap copy. The identity values `new` pre-fills are
-/// immediately overwritten, which is exactly the GPU init kernel's
-/// behaviour.
-pub(crate) fn init_phase(
+/// The parallel body behind every entry point: the shared pipeline over
+/// one atomic parent array, allocated once. The identity values `new`
+/// pre-fills are overwritten by the init phase, exactly the GPU init
+/// kernel's behaviour.
+pub(crate) fn run_counted(
     g: &CsrGraph,
     threads: usize,
-    schedule: Schedule,
     cfg: &EclConfig,
-) -> AtomicParents {
-    let n = g.num_vertices();
-    let parents = AtomicParents::new(n);
-    {
-        let parents = &parents;
-        parallel_for(threads, n, schedule, move |v| {
-            parents.set_parent(v as Vertex, init_label(g, v as Vertex, cfg.init));
+    schedule: Schedule,
+    tally: &impl Tally,
+) -> (CcResult, Option<SampleStats>) {
+    let parents = AtomicParents::new(g.num_vertices());
+    let pool = Pool {
+        parents: &parents,
+        threads,
+        schedule,
+    };
+    let stats = pipeline::run(g, cfg, &pool, tally);
+    (CcResult::new(parents.snapshot()), stats)
+}
+
+/// The parallel sweep: an OpenMP-style `parallel for` over the vertices.
+struct Pool<'a> {
+    parents: &'a AtomicParents,
+    threads: usize,
+    schedule: Schedule,
+}
+
+impl Sweep for Pool<'_> {
+    type Store = AtomicParents;
+
+    fn store(&self) -> &AtomicParents {
+        self.parents
+    }
+
+    #[inline]
+    fn each(&self, f: impl Fn(&AtomicParents, Vertex) + Sync) {
+        let parents = self.parents;
+        parallel_for(self.threads, parents.len(), self.schedule, move |v| {
+            f(parents, v as Vertex)
         });
     }
-    parents
 }
 
-/// Phase 2: the hooking pass over every undirected edge (`v > u`
-/// direction only). With `counters` the pass also tallies edges processed
-/// and hooks attempted — the instrumented and plain paths share this one
-/// body so they can never drift.
-pub(crate) fn compute_phase(
-    g: &CsrGraph,
-    parents: &AtomicParents,
-    threads: usize,
-    schedule: Schedule,
-    cfg: &EclConfig,
-    counters: Option<&PhaseCounters>,
-) {
-    let jump = cfg.jump;
-    parallel_for(threads, g.num_vertices(), schedule, move |v| {
-        let v = v as Vertex;
-        let mut v_rep = parents.find_with(v, jump);
-        let mut local_edges = 0u64;
-        let mut local_hooks = 0u64;
-        for &u in g.neighbors(v) {
-            if v > u {
-                local_edges += 1;
-                let u_rep = parents.find_with(u, jump);
-                if u_rep != v_rep {
-                    local_hooks += 1;
-                }
-                v_rep = parents.hook(v_rep, u_rep);
-            }
-        }
-        if let Some(c) = counters {
-            c.edges.fetch_add(local_edges, Ordering::Relaxed);
-            c.hooks.fetch_add(local_hooks, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Phase 3: short-circuit every parent to its representative per the
-/// configured finalization variant.
-pub(crate) fn finalize_phase(
-    parents: &AtomicParents,
-    threads: usize,
-    schedule: Schedule,
-    fini: FiniKind,
-) {
-    parallel_for(threads, parents.len(), schedule, move |v| {
-        let v = v as Vertex;
-        match fini {
-            FiniKind::Single => {
-                // Walk once, then one store; hooking is over so the
-                // root is final and the plain store cannot be lost.
-                let root = parents.find_naive(v);
-                parents.set_parent(v, root);
-            }
-            FiniKind::Intermediate => {
-                // Halve while walking, then pin v to the root.
-                let root = parents.find_repres(v);
-                parents.set_parent(v, root);
-            }
-            FiniKind::Multiple => {
-                let _ = parents.find_with(v, JumpKind::Multiple);
-            }
-        }
-    });
-}
-
-/// Shared atomic work tallies for the instrumented compute phase.
-#[derive(Default)]
-pub(crate) struct PhaseCounters {
-    edges: std::sync::atomic::AtomicU64,
-    hooks: std::sync::atomic::AtomicU64,
-}
-
-/// Per-run counters for the ablation benches: number of hooks attempted
-/// and CAS retries observed (contention proxy).
+/// Per-run work counters for the ablation benches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelRunStats {
-    /// Edges processed (one direction only).
+    /// Edges processed by the hooking passes (one direction only on the
+    /// full pass; the sampled and remaining ranges with `cfg.sampling`).
     pub edges_processed: u64,
     /// Hook invocations where the representatives differed.
     pub hooks: u64,
 }
 
-/// Instrumented variant of [`run`] that also reports work counters. The
-/// three phases are the same functions [`run_with_schedule`] uses — only
-/// the counter hand differs — so the instrumented path cannot drift from
-/// the real one (and it honours `cfg.fini` like every other path).
+/// Instrumented variant of [`run`] that also reports work counters. It
+/// runs the same pipeline as [`run`] — only the counter hand differs — so
+/// the instrumented path cannot drift from the real one.
 pub fn run_instrumented(
     g: &CsrGraph,
     threads: usize,
     cfg: &EclConfig,
 ) -> (CcResult, ParallelRunStats) {
-    let schedule = Schedule::GUIDED;
-    let parents = init_phase(g, threads, schedule, cfg);
     let counters = PhaseCounters::default();
-    compute_phase(g, &parents, threads, schedule, cfg, Some(&counters));
-    finalize_phase(&parents, threads, schedule, cfg.fini);
+    let (r, _) = run_counted(g, threads, cfg, Schedule::GUIDED, &counters);
     (
-        CcResult::new(parents.snapshot()),
+        r,
         ParallelRunStats {
             edges_processed: counters.edges.load(Ordering::Relaxed),
             hooks: counters.hooks.load(Ordering::Relaxed),
@@ -162,8 +108,9 @@ pub fn run_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EclConfig, InitKind};
+    use crate::config::{EclConfig, FiniKind, InitKind};
     use ecl_graph::generate;
+    use ecl_unionfind::concurrent::JumpKind;
 
     fn check(g: &CsrGraph, threads: usize, cfg: &EclConfig) {
         let r = run(g, threads, cfg);

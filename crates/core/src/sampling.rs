@@ -31,12 +31,15 @@
 //! compressed labels, not the live parent array, so the skip set — and
 //! with it the `edges_inspected` counter — is a deterministic function
 //! of the graph across the serial, parallel, and simulated-GPU paths.
+//!
+//! The CPU phases are the shared `crate::pipeline` body; this module
+//! holds the counters, the probe and the two counter-returning entry
+//! points.
 
-use crate::config::{EclConfig, FiniKind};
+use crate::config::EclConfig;
 use crate::result::CcResult;
-use crate::serial::{finalize_phase, find, hook, init_phase};
 use ecl_graph::{CsrGraph, Vertex};
-use ecl_parallel::{parallel_for, Schedule};
+use ecl_parallel::Schedule;
 use std::collections::HashMap;
 
 /// Work counters from one adaptive run, proving (or disproving) the
@@ -154,119 +157,34 @@ pub(crate) fn stats_from_snapshot(
     stats
 }
 
+/// `cfg` with sampling switched on (at the default depth if unset).
+fn sampled(cfg: &EclConfig) -> EclConfig {
+    EclConfig {
+        sampling: Some(cfg.sampling.unwrap_or_default()),
+        ..*cfg
+    }
+}
+
 /// Serial adaptive ECL-CC. Uses `cfg.sampling` (defaulting if unset) and
 /// returns the labeling — byte-identical to [`crate::serial::run`] —
 /// plus the work counters.
 pub fn run_serial(g: &CsrGraph, cfg: &EclConfig) -> (CcResult, SampleStats) {
-    let scfg = cfg.sampling.unwrap_or_default();
-    let k = scfg.k.max(1);
-    let n = g.num_vertices();
-    let mut parent = init_phase(g, cfg.init);
-
-    // Phase 1: hook the first K neighbors of every vertex. No direction
-    // filter — the correctness argument needs each non-skipped vertex to
-    // cover its own full adjacency.
-    for v in 0..n as Vertex {
-        let mut v_rep = find(&mut parent, v, cfg.jump);
-        for &u in g.neighbors(v).iter().take(k) {
-            let u_rep = find(&mut parent, u, cfg.jump);
-            v_rep = hook(&mut parent, v_rep, u_rep);
-        }
-    }
-
-    // Compress, then freeze the snapshot the skip test (and the work
-    // accounting) runs against.
-    finalize_phase(&mut parent, FiniKind::Single);
-    let snapshot = parent.clone();
-    let giant = estimate_giant(&snapshot, scfg.probe);
-    let stats = stats_from_snapshot(g, k, &snapshot, giant);
-
-    // Phase 2: remaining edges of every vertex not in the giant root's
-    // tree.
-    for v in 0..n as Vertex {
-        if giant == Some(snapshot[v as usize]) {
-            continue;
-        }
-        let mut v_rep = find(&mut parent, v, cfg.jump);
-        for &u in g.neighbors(v).iter().skip(k) {
-            let u_rep = find(&mut parent, u, cfg.jump);
-            v_rep = hook(&mut parent, v_rep, u_rep);
-        }
-    }
-
-    finalize_phase(&mut parent, cfg.fini);
-    (CcResult::new(parent), stats)
+    let (r, stats) = crate::serial::run_counted(g, &sampled(cfg));
+    (r, stats.unwrap_or_default())
 }
 
 /// Parallel adaptive ECL-CC on the workspace thread pool (guided
 /// schedule, like [`crate::parallel::run`]).
 pub fn run_parallel(g: &CsrGraph, threads: usize, cfg: &EclConfig) -> (CcResult, SampleStats) {
-    run_parallel_with_schedule(g, threads, Schedule::GUIDED, cfg)
-}
-
-/// [`run_parallel`] with an explicit loop schedule. The same
-/// [`AtomicParents`](ecl_unionfind::AtomicParents) hook/find primitives
-/// as the full parallel pass; only the edge ranges differ.
-pub fn run_parallel_with_schedule(
-    g: &CsrGraph,
-    threads: usize,
-    schedule: Schedule,
-    cfg: &EclConfig,
-) -> (CcResult, SampleStats) {
-    let scfg = cfg.sampling.unwrap_or_default();
-    let k = scfg.k.max(1);
-    let n = g.num_vertices();
-    let parents = crate::parallel::init_phase(g, threads, schedule, cfg);
-
-    // Phase 1: sample-hook the first K neighbors of every vertex.
-    {
-        let parents = &parents;
-        let jump = cfg.jump;
-        parallel_for(threads, n, schedule, move |v| {
-            let v = v as Vertex;
-            let mut v_rep = parents.find_with(v, jump);
-            for &u in g.neighbors(v).iter().take(k) {
-                let u_rep = parents.find_with(u, jump);
-                v_rep = parents.hook(v_rep, u_rep);
-            }
-        });
-    }
-
-    // Compress and freeze the deterministic skip snapshot: the partial
-    // partition (and with min-wins hooking the roots themselves) does not
-    // depend on interleaving, so the snapshot is schedule-independent.
-    crate::parallel::finalize_phase(&parents, threads, schedule, FiniKind::Single);
-    let snapshot = parents.snapshot();
-    let giant = estimate_giant(&snapshot, scfg.probe);
-    let stats = stats_from_snapshot(g, k, &snapshot, giant);
-
-    // Phase 2: remaining edges of non-skipped vertices.
-    {
-        let parents = &parents;
-        let snapshot = &snapshot;
-        let jump = cfg.jump;
-        parallel_for(threads, n, schedule, move |v| {
-            let v = v as Vertex;
-            if giant == Some(snapshot[v as usize]) {
-                return;
-            }
-            let mut v_rep = parents.find_with(v, jump);
-            for &u in g.neighbors(v).iter().skip(k) {
-                let u_rep = parents.find_with(u, jump);
-                v_rep = parents.hook(v_rep, u_rep);
-            }
-        });
-    }
-
-    crate::parallel::finalize_phase(&parents, threads, schedule, cfg.fini);
-    (CcResult::new(parents.snapshot()), stats)
+    let (r, stats) = crate::parallel::run_counted(g, threads, &sampled(cfg), Schedule::GUIDED, &());
+    (r, stats.unwrap_or_default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{InitKind, SamplingConfig};
-    use ecl_graph::generate;
+    use crate::config::{FiniKind, InitKind, SamplingConfig};
+    use ecl_graph::{generate, stats};
     use ecl_unionfind::concurrent::JumpKind;
 
     fn corpus() -> Vec<(&'static str, CsrGraph)> {
@@ -283,6 +201,14 @@ mod tests {
             ),
             ("kron", generate::kronecker(10, 8, 7)),
             ("road", generate::road_network(25, 25, 0.3, 1.0, 9)),
+            ("road-30", generate::road_network(30, 30, 0.3, 1.0, 4)),
+            ("gnm-sparse", generate::gnm_random(400, 900, 7)),
+            ("gnm-mid", generate::gnm_random(600, 1800, 11)),
+            ("gnm-dense", generate::gnm_random(800, 2000, 11)),
+            (
+                "rmat-9",
+                generate::rmat(9, 6, generate::RmatParams::GALOIS, 3),
+            ),
             ("empty", ecl_graph::GraphBuilder::new(0).build()),
             ("isolated", ecl_graph::GraphBuilder::new(17).build()),
         ]
@@ -370,6 +296,57 @@ mod tests {
             let plain = EclConfig::with_jump(jump);
             let (r, _) = run_serial(&g, &cfg);
             assert_eq!(r.labels, crate::serial::run(&g, &plain).labels, "{jump:?}");
+        }
+    }
+
+    #[test]
+    fn every_variant_depth_and_mode_matches_reference() {
+        // Init × Jump × Fini (36) × sampling {off, k=1, k=2} × {serial,
+        // pool at 1 thread, pool at 4 threads}, all through the one
+        // pipeline body.
+        for (name, g) in corpus() {
+            let want = stats::reference_labels(&g);
+            for init in [
+                InitKind::VertexId,
+                InitKind::MinNeighbor,
+                InitKind::FirstSmaller,
+            ] {
+                for jump in [
+                    JumpKind::Multiple,
+                    JumpKind::Single,
+                    JumpKind::None,
+                    JumpKind::Intermediate,
+                ] {
+                    for fini in [FiniKind::Intermediate, FiniKind::Multiple, FiniKind::Single] {
+                        for sampling in [None, Some(1), Some(2)] {
+                            let cfg = EclConfig {
+                                init,
+                                jump,
+                                fini,
+                                sampling: sampling.map(SamplingConfig::with_k),
+                                ..EclConfig::default()
+                            };
+                            let at = format!("{name} {cfg:?}");
+                            let serial = crate::serial::run(&g, &cfg);
+                            assert_eq!(serial.labels, want, "{at} serial");
+                            for threads in [1, 4] {
+                                let r = crate::parallel::run(&g, threads, &cfg);
+                                assert_eq!(r.labels, want, "{at} x{threads}");
+                            }
+                            if sampling.is_none() {
+                                continue;
+                            }
+                            let (rs, ss) = run_serial(&g, &cfg);
+                            assert_eq!(rs.labels, serial.labels, "{at} run_serial");
+                            for threads in [1, 4] {
+                                let (rp, sp) = run_parallel(&g, threads, &cfg);
+                                assert_eq!(rp.labels, want, "{at} run_parallel x{threads}");
+                                assert_eq!(sp, ss, "{at} stats x{threads}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

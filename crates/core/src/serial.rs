@@ -1,170 +1,42 @@
 //! ECL-CC_SER — the paper's serial CPU implementation (§3, last
 //! paragraph): same three phases and intermediate pointer jumping as the
 //! GPU code, but no atomics and no do-while retry loop (a plain store
-//! cannot fail), and no worklist.
+//! cannot fail), and no worklist. The phases are the shared
+//! `crate::pipeline` body over a `[Cell<u32>]` parent store.
 
-use crate::config::{EclConfig, FiniKind, InitKind};
+use crate::config::EclConfig;
+use crate::pipeline::{self, Sweep};
 use crate::result::CcResult;
+use crate::sampling::SampleStats;
 use ecl_graph::{CsrGraph, Vertex};
-use ecl_unionfind::concurrent::JumpKind;
+use std::cell::Cell;
 
-/// Runs serial ECL-CC under `cfg` and returns the labeling.
+/// Runs serial ECL-CC under `cfg` (with adaptive sampling when
+/// `cfg.sampling` is set) and returns the labeling.
 pub fn run(g: &CsrGraph, cfg: &EclConfig) -> CcResult {
-    let mut parent = init_phase(g, cfg.init);
-    compute_phase(g, &mut parent, cfg.jump);
-    finalize_phase(&mut parent, cfg.fini);
-    CcResult::new(parent)
+    run_counted(g, cfg).0
 }
 
-/// Runs serial ECL-CC directly over a Ligra+-style compressed graph,
-/// decoding adjacency on the fly — ECL-CC's forward-only neighbor scans
-/// are exactly the access pattern delta encoding supports, so the
-/// algorithm needs no random adjacency access and no decompression
-/// buffer. (Combines the paper's algorithm with Ligra+'s representation,
-/// per §2's discussion of compressed graphs.)
-pub fn run_compressed(g: &ecl_graph::CompressedGraph, cfg: &EclConfig) -> CcResult {
-    let n = g.num_vertices();
-    let mut parent = vec![0 as Vertex; n];
-    // Initialization: the Init3 scan stops at the first smaller neighbor,
-    // decoding only a prefix of each list.
-    for v in 0..n as Vertex {
-        parent[v as usize] = match cfg.init {
-            InitKind::VertexId => v,
-            InitKind::MinNeighbor => g.neighbors(v).min().map_or(v, |m| m.min(v)),
-            InitKind::FirstSmaller => g.neighbors(v).find(|&u| u < v).unwrap_or(v),
-        };
-    }
-    // Computation: identical hooking, neighbors decoded per edge.
-    for v in 0..n as Vertex {
-        let mut v_rep = find(&mut parent, v, cfg.jump);
-        for u in g.neighbors(v) {
-            if v > u {
-                let u_rep = find(&mut parent, u, cfg.jump);
-                v_rep = hook(&mut parent, v_rep, u_rep);
-            }
-        }
-    }
-    finalize_phase(&mut parent, cfg.fini);
-    CcResult::new(parent)
+/// [`run`] plus the sampling counters when `cfg.sampling` is set.
+pub(crate) fn run_counted(g: &CsrGraph, cfg: &EclConfig) -> (CcResult, Option<SampleStats>) {
+    let mut parent = vec![0 as Vertex; g.num_vertices()];
+    let cells = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
+    let stats = pipeline::run(g, cfg, cells, &());
+    (CcResult::new(parent), stats)
 }
 
-/// Initialization phase: produce the starting parent array.
-pub(crate) fn init_phase(g: &CsrGraph, init: InitKind) -> Vec<Vertex> {
-    let n = g.num_vertices();
-    let mut parent = vec![0 as Vertex; n];
-    for v in 0..n as Vertex {
-        parent[v as usize] = init_label(g, v, init);
-    }
-    parent
-}
+/// The serial sweep: a plain loop over the vertices.
+impl Sweep for [Cell<Vertex>] {
+    type Store = [Cell<Vertex>];
 
-/// The per-vertex initial label for each Init variant.
-#[inline]
-pub(crate) fn init_label(g: &CsrGraph, v: Vertex, init: InitKind) -> Vertex {
-    match init {
-        InitKind::VertexId => v,
-        InitKind::MinNeighbor => g.neighbors(v).iter().copied().min().map_or(v, |m| m.min(v)),
-        InitKind::FirstSmaller => g.neighbors(v).iter().copied().find(|&u| u < v).unwrap_or(v),
+    fn store(&self) -> &Self::Store {
+        self
     }
-}
 
-fn compute_phase(g: &CsrGraph, parent: &mut [Vertex], jump: JumpKind) {
-    for v in g.vertices() {
-        let mut v_rep = find(parent, v, jump);
-        for &u in g.neighbors(v) {
-            // Process each undirected edge once, in one direction only.
-            if v > u {
-                let u_rep = find(parent, u, jump);
-                v_rep = hook(parent, v_rep, u_rep);
-            }
-        }
-    }
-}
-
-/// Min-wins hook shared by every serial pass (full, compressed, and
-/// sampling): links the larger representative under the smaller — no CAS
-/// needed serially, the store cannot race — and returns the (possibly
-/// updated) representative of `v`.
-#[inline]
-pub(crate) fn hook(parent: &mut [Vertex], v_rep: Vertex, u_rep: Vertex) -> Vertex {
-    if v_rep != u_rep {
-        if v_rep < u_rep {
-            parent[u_rep as usize] = v_rep;
-        } else {
-            parent[v_rep as usize] = u_rep;
-            return u_rep;
-        }
-    }
-    v_rep
-}
-
-/// Serial find with the selected pointer-jumping flavour.
-#[inline]
-pub(crate) fn find(parent: &mut [Vertex], v: Vertex, jump: JumpKind) -> Vertex {
-    match jump {
-        JumpKind::Intermediate => {
-            // Fig. 5, sequential: halve the path while walking it.
-            let mut par = parent[v as usize];
-            if par != v {
-                let mut prev = v;
-                loop {
-                    let next = parent[par as usize];
-                    if par <= next {
-                        break;
-                    }
-                    parent[prev as usize] = next;
-                    prev = par;
-                    par = next;
-                }
-            }
-            par
-        }
-        JumpKind::None => walk(parent, v),
-        JumpKind::Single => {
-            let root = walk(parent, v);
-            parent[v as usize] = root;
-            root
-        }
-        JumpKind::Multiple => {
-            let root = walk(parent, v);
-            let mut cur = v;
-            while cur != root {
-                let next = parent[cur as usize];
-                parent[cur as usize] = root;
-                cur = next;
-            }
-            root
-        }
-    }
-}
-
-#[inline]
-pub(crate) fn walk(parent: &[Vertex], v: Vertex) -> Vertex {
-    let mut cur = v;
-    loop {
-        let p = parent[cur as usize];
-        if p >= cur {
-            return cur;
-        }
-        cur = p;
-    }
-}
-
-pub(crate) fn finalize_phase(parent: &mut [Vertex], fini: FiniKind) {
-    let n = parent.len();
-    for v in 0..n as Vertex {
-        match fini {
-            FiniKind::Single => {
-                let root = walk(parent, v);
-                parent[v as usize] = root;
-            }
-            FiniKind::Intermediate => {
-                let root = find(parent, v, JumpKind::Intermediate);
-                parent[v as usize] = root;
-            }
-            FiniKind::Multiple => {
-                let _ = find(parent, v, JumpKind::Multiple);
-            }
+    #[inline]
+    fn each(&self, f: impl Fn(&Self::Store, Vertex) + Sync) {
+        for v in 0..self.len() as Vertex {
+            f(self, v);
         }
     }
 }
@@ -172,7 +44,8 @@ pub(crate) fn finalize_phase(parent: &mut [Vertex], fini: FiniKind) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EclConfig;
+    use crate::config::{EclConfig, FiniKind, InitKind};
+    use crate::pipeline::init_label;
     use ecl_graph::{generate, stats};
     use ecl_unionfind::concurrent::JumpKind;
 
@@ -255,34 +128,6 @@ mod tests {
         let g = generate::kronecker(10, 8, 5);
         let r = run(&g, &EclConfig::default());
         assert_eq!(r.num_components(), stats::count_components(&g));
-    }
-
-    #[test]
-    fn compressed_run_matches_csr_run() {
-        for g in [
-            generate::gnm_random(400, 1100, 17),
-            generate::road_network(20, 20, 0.3, 1.0, 18),
-            generate::kronecker(9, 6, 19),
-            ecl_graph::GraphBuilder::new(12).build(),
-        ] {
-            let c = ecl_graph::CompressedGraph::from_csr(&g);
-            let cfg = EclConfig::default();
-            assert_eq!(run_compressed(&c, &cfg).labels, run(&g, &cfg).labels);
-        }
-    }
-
-    #[test]
-    fn compressed_run_all_variants_verify() {
-        let g = generate::rmat(9, 6, generate::RmatParams::GALOIS, 21);
-        let c = ecl_graph::CompressedGraph::from_csr(&g);
-        for init in [
-            InitKind::VertexId,
-            InitKind::MinNeighbor,
-            InitKind::FirstSmaller,
-        ] {
-            let r = run_compressed(&c, &EclConfig::with_init(init));
-            r.verify(&g).unwrap();
-        }
     }
 
     #[test]

@@ -241,15 +241,8 @@ fn solve_local(
             };
         }
     }
-    let labels = if cfg.ladder.cc.sampling.is_some() {
-        ecl_cc::sampling::run_serial(shard_graph, &cfg.ladder.cc)
-            .0
-            .labels
-    } else {
-        ecl_cc::serial::run(shard_graph, &cfg.ladder.cc).labels
-    };
     LocalSolve {
-        labels,
+        labels: ecl_cc::serial::run(shard_graph, &cfg.ladder.cc).labels,
         cycles: 0,
         serial_fallback: true,
     }

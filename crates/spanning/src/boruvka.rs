@@ -10,7 +10,7 @@ use crate::weights::weighted_edges;
 use crate::Forest;
 use ecl_graph::CsrGraph;
 use ecl_parallel::{parallel_for, Schedule};
-use ecl_unionfind::AtomicParents;
+use ecl_unionfind::{AtomicParents, ParentStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Minimum spanning forest by parallel Borůvka with `threads` workers.

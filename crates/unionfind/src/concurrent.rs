@@ -10,6 +10,7 @@
 //! correctness; the final synchronization point is the thread join at the
 //! end of each parallel phase, which is sequentially consistent.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Pointer-jumping variants of the concurrent find (paper §5.1, Fig. 8).
@@ -28,10 +29,174 @@ pub enum JumpKind {
     Intermediate,
 }
 
+/// A parent array the ECL-CC phases run over. `get`, `set` and `hook` are
+/// the store's own; the finds are written once on top of them, so the
+/// serial store and the lock-free [`AtomicParents`] share every pointer
+/// jump.
+///
+/// Hooking always makes smaller IDs win, so parent chains strictly
+/// decrease: every find terminates even while other threads modify the
+/// array.
+pub trait ParentStore {
+    /// Current parent of `v` (a racy snapshot on a shared store).
+    fn get(&self, v: u32) -> u32;
+
+    /// Overwrites `v`'s parent. Used by initialization and finalization,
+    /// and by finds to shorten a path; during hooking use
+    /// [`Self::hook`] instead.
+    fn set(&self, v: u32, p: u32);
+
+    /// Given two endpoints' representatives, links the larger under the
+    /// smaller and returns the representative that won.
+    fn hook(&self, u_rep: u32, v_rep: u32) -> u32;
+
+    /// The paper's Fig. 5 `find_repres`: walks to the representative while
+    /// halving the path (each visited element is made to skip its
+    /// successor with a single racy-but-benign word store).
+    #[inline]
+    fn find_repres(&self, v: u32) -> u32 {
+        let mut par = self.get(v);
+        if par != v {
+            let mut prev = v;
+            loop {
+                let next = self.get(par);
+                if par <= next {
+                    break;
+                }
+                // Benign race: overwrites one valid parent with another
+                // valid (closer) one; a lost update only costs work.
+                self.set(prev, next);
+                prev = par;
+                par = next;
+            }
+        }
+        par
+    }
+
+    /// Traversal without compression (Jump3).
+    #[inline]
+    fn find_naive(&self, v: u32) -> u32 {
+        let mut cur = v;
+        loop {
+            let p = self.get(cur);
+            if p >= cur {
+                return cur;
+            }
+            cur = p;
+        }
+    }
+
+    /// Find with a selectable pointer-jumping variant (for the Fig. 8
+    /// ablation). Always inlined: the hooking loops call it twice per
+    /// edge, and inlining lets the compiler hoist the `kind` match out of
+    /// those loops.
+    #[inline(always)]
+    fn find_with(&self, v: u32, kind: JumpKind) -> u32 {
+        match kind {
+            JumpKind::Intermediate => self.find_repres(v),
+            JumpKind::None => self.find_naive(v),
+            JumpKind::Single => {
+                let root = self.find_naive(v);
+                if root != v {
+                    self.set(v, root);
+                }
+                root
+            }
+            JumpKind::Multiple => {
+                let root = self.find_naive(v);
+                // Second traversal: point every element at the root.
+                let mut cur = v;
+                while cur != root {
+                    let next = self.get(cur);
+                    self.set(cur, root);
+                    if next == cur {
+                        break;
+                    }
+                    cur = next;
+                }
+                root
+            }
+        }
+    }
+}
+
+/// The single-threaded store: a plain-store hook, since no other thread
+/// can move a representative between the find and the store. Build one
+/// over a `Vec` with `Cell::from_mut(&mut v[..]).as_slice_of_cells()`.
+impl ParentStore for [Cell<u32>] {
+    #[inline]
+    fn get(&self, v: u32) -> u32 {
+        self[v as usize].get()
+    }
+
+    #[inline]
+    fn set(&self, v: u32, p: u32) {
+        self[v as usize].set(p);
+    }
+
+    #[inline]
+    fn hook(&self, u_rep: u32, v_rep: u32) -> u32 {
+        if u_rep != v_rep {
+            if u_rep < v_rep {
+                self.set(v_rep, u_rep);
+            } else {
+                self.set(u_rep, v_rep);
+                return v_rep;
+            }
+        }
+        u_rep
+    }
+}
+
 /// A concurrent disjoint-set forest with lock-free find and hook.
 #[derive(Debug)]
 pub struct AtomicParents {
     parent: Box<[AtomicU32]>,
+}
+
+impl ParentStore for AtomicParents {
+    #[inline]
+    fn get(&self, v: u32) -> u32 {
+        self.parent[v as usize].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn set(&self, v: u32, p: u32) {
+        self.parent[v as usize].store(p, Ordering::Relaxed);
+    }
+
+    /// The paper's Fig. 6 hooking: a CAS retry loop. `u_rep`/`v_rep` may
+    /// be stale; the loop refreshes them from the CAS failure value
+    /// exactly as the CUDA code does.
+    #[inline]
+    fn hook(&self, mut u_rep: u32, mut v_rep: u32) -> u32 {
+        loop {
+            if v_rep == u_rep {
+                return u_rep;
+            }
+            if v_rep < u_rep {
+                match self.parent[u_rep as usize].compare_exchange(
+                    u_rep,
+                    v_rep,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return v_rep,
+                    Err(actual) => u_rep = actual,
+                }
+            } else {
+                match self.parent[v_rep as usize].compare_exchange(
+                    v_rep,
+                    u_rep,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return u_rep,
+                    Err(actual) => v_rep = actual,
+                }
+            }
+        }
+    }
 }
 
 impl AtomicParents {
@@ -61,123 +226,6 @@ impl AtomicParents {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Current parent of `v` (racy snapshot).
-    #[inline]
-    pub fn parent(&self, v: u32) -> u32 {
-        self.parent[v as usize].load(Ordering::Relaxed)
-    }
-
-    /// Directly overwrites `v`'s parent. Intended for finalization phases
-    /// (after hooking has finished) where the caller has computed the
-    /// final representative; during hooking use [`Self::hook`] instead.
-    #[inline]
-    pub fn set_parent(&self, v: u32, p: u32) {
-        self.parent[v as usize].store(p, Ordering::Relaxed);
-    }
-
-    /// The paper's Fig. 5 `find_repres`: walks to the representative while
-    /// halving the path (each visited element is made to skip its
-    /// successor with a single racy-but-benign word store).
-    #[inline]
-    pub fn find_repres(&self, v: u32) -> u32 {
-        let mut par = self.parent(v);
-        if par != v {
-            let mut prev = v;
-            loop {
-                let next = self.parent(par);
-                if par <= next {
-                    break;
-                }
-                // Benign race: overwrites one valid parent with another
-                // valid (closer) one; a lost update only costs work.
-                self.parent[prev as usize].store(next, Ordering::Relaxed);
-                prev = par;
-                par = next;
-            }
-        }
-        par
-    }
-
-    /// Find with a selectable pointer-jumping variant (for the Fig. 8
-    /// ablation).
-    pub fn find_with(&self, v: u32, kind: JumpKind) -> u32 {
-        match kind {
-            JumpKind::Intermediate => self.find_repres(v),
-            JumpKind::None => self.find_naive(v),
-            JumpKind::Single => {
-                let root = self.find_naive(v);
-                if root != v {
-                    self.parent[v as usize].store(root, Ordering::Relaxed);
-                }
-                root
-            }
-            JumpKind::Multiple => {
-                let root = self.find_naive(v);
-                // Second traversal: point every element at the root.
-                let mut cur = v;
-                while cur != root {
-                    let next = self.parent(cur);
-                    self.parent[cur as usize].store(root, Ordering::Relaxed);
-                    if next == cur {
-                        break;
-                    }
-                    cur = next;
-                }
-                root
-            }
-        }
-    }
-
-    /// Traversal without compression (Jump3). Because hooking always makes
-    /// smaller IDs win, parent chains strictly decrease, so this
-    /// terminates even under concurrent modification.
-    #[inline]
-    pub fn find_naive(&self, v: u32) -> u32 {
-        let mut cur = v;
-        loop {
-            let p = self.parent(cur);
-            if p >= cur {
-                return cur;
-            }
-            cur = p;
-        }
-    }
-
-    /// The paper's Fig. 6 hooking: given the two endpoints' current
-    /// representatives, links the larger under the smaller with a CAS
-    /// retry loop. Returns the representative that won.
-    ///
-    /// `u_rep`/`v_rep` may be stale; the loop refreshes them from the CAS
-    /// failure value exactly as the CUDA code does.
-    pub fn hook(&self, mut u_rep: u32, mut v_rep: u32) -> u32 {
-        loop {
-            if v_rep == u_rep {
-                return u_rep;
-            }
-            if v_rep < u_rep {
-                match self.parent[u_rep as usize].compare_exchange(
-                    u_rep,
-                    v_rep,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return v_rep,
-                    Err(actual) => u_rep = actual,
-                }
-            } else {
-                match self.parent[v_rep as usize].compare_exchange(
-                    v_rep,
-                    u_rep,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return u_rep,
-                    Err(actual) => v_rep = actual,
-                }
-            }
-        }
     }
 
     /// Like [`Self::hook`], but also reports whether **this call**
@@ -243,7 +291,7 @@ impl AtomicParents {
         let mut cur = v;
         let mut len = 0;
         loop {
-            let p = self.parent(cur);
+            let p = self.get(cur);
             if p >= cur {
                 return len;
             }
@@ -273,7 +321,7 @@ mod tests {
     fn hook_smaller_wins() {
         let p = AtomicParents::new(10);
         assert_eq!(p.hook(8, 2), 2);
-        assert_eq!(p.parent(8), 2);
+        assert_eq!(p.get(8), 2);
         assert_eq!(p.hook(2, 8), 2, "same set now");
     }
 
@@ -297,6 +345,12 @@ mod tests {
         ] {
             let p = AtomicParents::from_vec(vec![0, 0, 1, 2, 3, 4, 5, 6]);
             assert_eq!(p.find_with(7, kind), 0, "{kind:?}");
+            // The plain store shares the provided finds: same root, same
+            // pointer jumps.
+            let mut plain = vec![0, 0, 1, 2, 3, 4, 5, 6];
+            let cells = Cell::from_mut(&mut plain[..]).as_slice_of_cells();
+            assert_eq!(cells.find_with(7, kind), 0, "{kind:?}");
+            assert_eq!(plain, p.snapshot(), "{kind:?}");
         }
     }
 
@@ -305,7 +359,7 @@ mod tests {
         let p = AtomicParents::from_vec(vec![0, 0, 1, 2, 3, 4, 5, 6]);
         p.find_with(7, JumpKind::Multiple);
         for v in 1..8 {
-            assert_eq!(p.parent(v), 0);
+            assert_eq!(p.get(v), 0);
         }
     }
 
@@ -313,8 +367,8 @@ mod tests {
     fn single_jump_only_moves_start() {
         let p = AtomicParents::from_vec(vec![0, 0, 1, 2, 3]);
         p.find_with(4, JumpKind::Single);
-        assert_eq!(p.parent(4), 0);
-        assert_eq!(p.parent(3), 2, "middle untouched");
+        assert_eq!(p.get(4), 0);
+        assert_eq!(p.get(3), 2, "middle untouched");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`concurrent::AtomicParents`] — the lock-free concurrent structure at
 //!   the heart of ECL-CC: an `AtomicU32` parent per vertex, the paper's
 //!   Fig. 5 `find_repres` (path halving with benign races) and Fig. 6
-//!   CAS-retry hooking.
+//!   CAS-retry hooking. Its finds are provided methods of
+//!   [`concurrent::ParentStore`], which a plain `[Cell<u32>]` implements
+//!   too, so the serial and parallel ECL-CC share one body.
 //!
 //! Both store *parent pointers*; a vertex whose parent is itself is a
 //! representative. A chain of parents is a "path"; compression shortens
@@ -23,5 +25,5 @@
 pub mod concurrent;
 pub mod seq;
 
-pub use concurrent::AtomicParents;
+pub use concurrent::{AtomicParents, ParentStore};
 pub use seq::{Compression, DisjointSets};

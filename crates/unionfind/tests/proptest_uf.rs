@@ -7,7 +7,7 @@
 //! property-testing framework and is exactly reproducible.
 
 use ecl_graph::generate::Pcg32;
-use ecl_unionfind::{AtomicParents, Compression, DisjointSets};
+use ecl_unionfind::{AtomicParents, Compression, DisjointSets, ParentStore};
 
 /// The reference model: partition kept as a label vector where merging
 /// rewrites all labels (O(n) per union, obviously correct).
@@ -150,12 +150,7 @@ fn parent_ids_never_increase() {
         for &(a, b) in &pairs {
             par.unite(a, b);
             for v in 0..n as u32 {
-                assert!(
-                    par.parent(v) <= v,
-                    "parent[{}] = {} increased",
-                    v,
-                    par.parent(v)
-                );
+                assert!(par.get(v) <= v, "parent[{}] = {} increased", v, par.get(v));
             }
         }
     }

@@ -6,6 +6,7 @@
 
 use ecl_graph::generate::Pcg32;
 use ecl_integration::all_algorithms;
+use ecl_unionfind::ParentStore;
 
 /// Random edge list over up to 64 vertices (dense enough to form
 /// interesting component structures, small enough to run every algorithm).
