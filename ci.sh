@@ -349,11 +349,24 @@ case "$ST" in
     "OK done"*) ;;
     *) echo "traced job did not complete: $ST"; exit 1 ;;
 esac
-# Some request traffic, then a METRICS dump read to exactly `lines=N`.
+# Some request traffic, pipelined: 20 ADDs and a PING in one write must
+# come back as 21 replies in order, all OK and the last `OK pong`. Then
+# a METRICS dump read to exactly `lines=N`.
+BURST=""
 for i in $(seq 1 20); do
-    printf 'ADD %s %s\n' "$((i % 1000))" "$(((i + 7) % 1000))" >&3
-    read -r _ <&3
+    BURST="${BURST}ADD $((i % 1000)) $(((i + 7) % 1000))\n"
 done
+printf "${BURST}PING\n" >&3
+REPLY_LINE=""
+for i in $(seq 1 21); do
+    read -r -t 10 REPLY_LINE <&3 || { echo "pipelined reply $i missing"; exit 1; }
+    case "$REPLY_LINE" in
+        OK*) ;;
+        *) echo "pipelined reply $i not OK: $REPLY_LINE"; exit 1 ;;
+    esac
+done
+[ "$REPLY_LINE" = "OK pong" ] \
+    || { echo "pipelined burst: last reply '$REPLY_LINE', want 'OK pong'"; exit 1; }
 printf 'METRICS 10s\n' >&3
 read -r HDR <&3
 case "$HDR" in

@@ -27,6 +27,7 @@
 //! arbitrary truncation, and a tab-separated line either has all its
 //! fields or it doesn't.
 
+use ecl_obs::durable::sync_parent_dir;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
@@ -62,6 +63,7 @@ impl JournalWriter {
         let mut file = File::create(path)?;
         writeln!(file, "meta\t{VERSION}\t{jobs_digest:016x}\t{num_jobs}")?;
         file.sync_data()?;
+        sync_parent_dir(path);
         Ok(JournalWriter { file })
     }
 

@@ -12,7 +12,13 @@ use std::path::Path;
 /// cryptographic, and does not need to be: it detects torn writes and
 /// flipped bits, not adversaries).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`, so a digest over pieces
+/// never needs them copied into one buffer:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -28,20 +34,48 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    let tmp = dir.join(format!(".tmp-{}", name.to_string_lossy()));
+    let tmp = parent_dir(path).join(format!(".tmp-{}", name.to_string_lossy()));
     {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    // Ignore platforms where directories cannot be fsynced.
-    if let Ok(d) = File::open(dir) {
+    sync_parent_dir(path);
+    Ok(())
+}
+
+/// Fsyncs the directory holding `path`, so a just-created or
+/// just-renamed directory entry survives a crash (the file's own
+/// `sync_all` does not cover its name). Best-effort: some platforms
+/// cannot open or fsync a directory.
+pub fn sync_parent_dir(path: &Path) {
+    if let Ok(d) = File::open(parent_dir(path)) {
         let _ = d.sync_all();
     }
-    Ok(())
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_extend_continues_the_hash_across_pieces() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let whole = b"14\t7\n0\n0\n10\n";
+        for cut in 0..=whole.len() {
+            let (a, b) = whole.split_at(cut);
+            assert_eq!(fnv1a_extend(fnv1a(a), b), fnv1a(whole), "cut at {cut}");
+        }
+    }
 }

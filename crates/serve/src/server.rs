@@ -13,14 +13,20 @@
 //! * **Bounded damage** — each session runs under
 //!   [`catch_unwind`], so a panicking session increments a counter and
 //!   dies alone; the accept loop and every other session keep going.
-//! * **Bounded lines** — input is scanned byte-wise with a hard
-//!   [`MAX_LINE_BYTES`] cap; oversized frames are discarded to the next
-//!   newline and answered with `ERR too-long`.
-//! * **Graceful drain** — `SHUTDOWN` (or [`Server::stop`]) stops the
-//!   accept loop, lets in-flight sessions finish their current
-//!   request, drains the job queue, takes a final snapshot, and writes
-//!   the metrics file. Exit is clean; a SIGKILL instead loses nothing
-//!   acknowledged (see [`crate::state`]).
+//! * **Bounded lines** — input is read in [`READ_CHUNK`]-byte chunks
+//!   and split on newlines with a hard [`MAX_LINE_BYTES`] cap; oversized
+//!   frames are discarded to the next newline and answered with
+//!   `ERR too-long`.
+//! * **Graceful drain** — `SHUTDOWN` (or [`Server::stop`]) wakes and
+//!   stops the blocking accept loop, lets in-flight sessions finish
+//!   their current request, drains the job queue, takes a final
+//!   snapshot, and writes the metrics file. Exit is clean; a SIGKILL
+//!   instead loses nothing acknowledged (see [`crate::state`]).
+//!
+//! Every line the server writes (greeting, reply, error, the whole
+//! multi-line `METRICS` reply) goes out in one `write_all`: with
+//! `TCP_NODELAY` each write is its own segment, so a reply split over
+//! two writes costs two.
 
 use crate::jobs::{JobRunner, JobsConfig};
 use crate::protocol::{parse_request, Request, RequestError, MAX_LINE_BYTES, PROTOCOL_VERSION};
@@ -29,7 +35,7 @@ use crate::telemetry::ServeTelemetry;
 use ecl_obs::durable::write_atomic;
 use ecl_obs::{Expo, FlightRecorder, Recorder, TraceCtx, TraceEvent, PID_ENGINE};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,10 +135,31 @@ struct Shared {
     flight: FlightRecorder,
     flight_dir: PathBuf,
     shutdown: AtomicBool,
+    /// The listener's bound address, which [`Shared::begin_drain`]
+    /// connects to.
+    addr: SocketAddr,
     cfg: ServeConfig,
 }
 
 impl Shared {
+    /// Starts the graceful drain (idempotent): raises the shutdown flag,
+    /// then wakes the accept loop, which blocks in `accept()`, by
+    /// connecting to the server's own address. The accept loop drops
+    /// whatever it accepts once the flag is up, this connection
+    /// included. An unspecified bind IP (`0.0.0.0`, `::`) is not a
+    /// connectable destination, so the wake goes to loopback instead.
+    fn begin_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+
     /// The `METRICS` exposition over `window`, with the operational
     /// counters. There is deliberately no request counter: `METRICS`
     /// would bump it, which would break byte-stability across two
@@ -155,7 +182,6 @@ impl Shared {
 /// A running server. Drop does not stop it; call [`Server::stop`] (or
 /// send `SHUTDOWN` over the wire) and then [`Server::join`].
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     metrics_thread: Mutex<Option<JoinHandle<()>>>,
@@ -181,9 +207,6 @@ impl Server {
         );
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
         let shared = Arc::new(Shared {
@@ -195,6 +218,7 @@ impl Server {
             flight,
             flight_dir,
             shutdown: AtomicBool::new(false),
+            addr,
             cfg,
         });
         let metrics_thread = if shared.cfg.metrics_every > 0 {
@@ -206,7 +230,6 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok(Server {
-            addr,
             shared,
             accept_thread: Mutex::new(Some(accept_thread)),
             metrics_thread: Mutex::new(metrics_thread),
@@ -215,12 +238,12 @@ impl Server {
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Requests a graceful drain (idempotent, non-blocking).
     pub fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
     }
 
     /// Waits for the drain to complete. Returns an error if the final
@@ -275,8 +298,14 @@ fn metrics_dump_loop(shared: Arc<Shared>) {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: the drain's wake-up connection
+        // (and anything else that raced it) is dropped unserved.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 sessions.retain(|h| !h.is_finished());
                 let c = &shared.counters;
@@ -316,9 +345,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                         .fetch_sub(1, Ordering::SeqCst);
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Transient failures (e.g. out of descriptors): back off
+            // rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -333,14 +361,24 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// Over-capacity greeting: structured, one line, immediate close.
 fn reject_busy(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let _ = writeln!(
-        stream,
+    let busy = format!(
         "BUSY max-conns server at capacity ({})",
         shared.cfg.max_conns
     );
+    let _ = send_line(&mut stream, busy);
 }
 
-/// Byte-wise line reader with idle reaping and a hard length cap.
+/// Writes `line` and its newline in one `write_all`.
+fn send_line(stream: &mut TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
+}
+
+/// Bytes requested per `read()`: a whole pipelined burst of requests
+/// arrives in one syscall.
+const READ_CHUNK: usize = 4096;
+
+/// What [`read_line`] hands the session loop.
 enum ReadOutcome {
     Line(String),
     TooLong,
@@ -349,33 +387,42 @@ enum ReadOutcome {
     Draining,
 }
 
+/// Returns the next request line from `pending`, reading more in
+/// [`READ_CHUNK`]-byte chunks as needed. Lines already buffered (a
+/// pipelining client) are served without a syscall. A line longer than
+/// [`MAX_LINE_BYTES`] is discarded up to its newline and reported once
+/// as `TooLong`; buffered bytes never exceed the cap plus one chunk.
+/// CRLF is trimmed and non-UTF-8 bytes are decoded lossily. The session
+/// is reaped once no complete line arrives within the idle timeout.
 fn read_line(stream: &mut TcpStream, pending: &mut Vec<u8>, shared: &Shared) -> ReadOutcome {
     let idle_deadline = Instant::now() + Duration::from_millis(shared.cfg.idle_timeout_ms);
     let mut too_long = false;
-    let mut byte = [0u8; 1];
+    let mut chunk = [0u8; READ_CHUNK];
     loop {
-        // Serve a buffered line first (pipelined clients).
+        // A drain refuses the next request even when it is already
+        // buffered: sessions stop at a request boundary.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return ReadOutcome::Draining;
+        }
         if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
-            if too_long {
-                return ReadOutcome::TooLong;
-            }
-            let text = String::from_utf8_lossy(&line[..line.len() - 1])
-                .trim_end_matches('\r')
-                .to_string();
-            return ReadOutcome::Line(text);
+            // One chunk can carry a whole over-long line.
+            let outcome = if too_long || pos > MAX_LINE_BYTES {
+                ReadOutcome::TooLong
+            } else {
+                let text = String::from_utf8_lossy(&pending[..pos]);
+                ReadOutcome::Line(text.trim_end_matches('\r').to_string())
+            };
+            pending.drain(..=pos);
+            return outcome;
         }
         if pending.len() > MAX_LINE_BYTES {
             // Discard until the newline arrives, then report once.
             too_long = true;
             pending.clear();
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return ReadOutcome::Draining;
-        }
-        match stream.read(&mut byte) {
+        match stream.read(&mut chunk) {
             Ok(0) => return ReadOutcome::Disconnected,
-            Ok(_) => pending.push(byte[0]),
+            Ok(n) => pending.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -396,7 +443,8 @@ fn run_session(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
 
     let stats = shared.state.stats();
-    if writeln!(stream, "{PROTOCOL_VERSION} OK vertices={}", stats.vertices).is_err() {
+    let greeting = format!("{PROTOCOL_VERSION} OK vertices={}", stats.vertices);
+    if send_line(&mut stream, greeting).is_err() {
         return;
     }
 
@@ -411,7 +459,7 @@ fn run_session(mut stream: TcpStream, shared: &Arc<Shared>) {
                     "too-long",
                     format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                if writeln!(stream, "{}", e.to_line()).is_err() {
+                if send_line(&mut stream, e.to_line()).is_err() {
                     return;
                 }
                 continue;
@@ -425,7 +473,7 @@ fn run_session(mut stream: TcpStream, shared: &Arc<Shared>) {
                     "idle-timeout",
                     format!("no complete request in {} ms", shared.cfg.idle_timeout_ms),
                 );
-                let _ = writeln!(stream, "{}", e.to_line());
+                let _ = send_line(&mut stream, e.to_line());
                 return;
             }
             ReadOutcome::Disconnected => return,
@@ -462,12 +510,12 @@ fn run_session(mut stream: TcpStream, shared: &Arc<Shared>) {
         }
         match handled {
             Handled::Reply(r) => {
-                if writeln!(stream, "{r}").is_err() {
+                if send_line(&mut stream, r).is_err() {
                     return;
                 }
             }
             Handled::Close(r) => {
-                let _ = writeln!(stream, "{r}");
+                let _ = send_line(&mut stream, r);
                 return;
             }
         }
@@ -555,7 +603,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Handled {
         Request::Ping => Handled::Reply("OK pong".to_string()),
         Request::Quit => Handled::Close("OK bye".to_string()),
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.begin_drain();
             Handled::Close("OK draining".to_string())
         }
     }

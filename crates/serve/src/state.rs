@@ -37,7 +37,7 @@ use crate::protocol::RequestError;
 use crate::wal::{self, Wal};
 use ecl_cc::incremental::IncrementalCc;
 use ecl_graph::Vertex;
-use ecl_obs::durable::{fnv1a, write_atomic};
+use ecl_obs::durable::{fnv1a, fnv1a_extend, write_atomic};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -241,17 +241,8 @@ impl ServeState {
         // contains every covered record (see module docs).
         let covered = self.wal.durable_records();
         let parents = self.cc.parents_snapshot();
-        let mut body = String::with_capacity(parents.len() * 4);
-        for p in &parents {
-            body.push_str(&p.to_string());
-            body.push('\n');
-        }
-        let digest = snapshot_digest(parents.len(), covered, &body);
-        let doc = format!(
-            "eclsnap\t{SNAP_VERSION}\t{}\t{covered}\t{digest:016x}\n{body}",
-            parents.len()
-        );
-        write_atomic(&self.dir.join(SNAP_FILE), doc.as_bytes())
+        let doc = render_snapshot(&parents, covered);
+        write_atomic(&self.dir.join(SNAP_FILE), &doc)
             .map_err(|e| format!("write {SNAP_FILE}: {e}"))?;
         self.last_snapshot.store(covered, Ordering::Relaxed);
         // The snapshot is durable, so the WAL prefix it covers is dead
@@ -263,8 +254,42 @@ impl ServeState {
     }
 }
 
-fn snapshot_digest(n: usize, covered: u64, body: &str) -> u64 {
-    fnv1a(format!("{n}\t{covered}\n{body}").as_bytes())
+/// The snapshot document: `eclsnap\t<version>\t<n>\t<covered>\t<digest>`
+/// then one decimal parent per line. Rendered into one buffer with no
+/// per-entry allocation: the digest has a fixed 16-hex width, so the
+/// header goes in first with a placeholder that is patched once the
+/// body is hashed in place.
+fn render_snapshot(parents: &[Vertex], covered: u64) -> Vec<u8> {
+    let n = parents.len();
+    // Up to 7 digits plus a newline per entry covers 2^20 vertices.
+    let mut doc = Vec::with_capacity(64 + n * 8);
+    doc.extend_from_slice(format!("eclsnap\t{SNAP_VERSION}\t{n}\t{covered}\t").as_bytes());
+    let digest_at = doc.len();
+    doc.extend_from_slice(b"0000000000000000\n");
+    let body_at = doc.len();
+    let mut digits = [0u8; 10];
+    for &p in parents {
+        let mut v = p;
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        doc.extend_from_slice(&digits[i..]);
+        doc.push(b'\n');
+    }
+    let digest = snapshot_digest(n, covered, &doc[body_at..]);
+    doc[digest_at..body_at - 1].copy_from_slice(format!("{digest:016x}").as_bytes());
+    doc
+}
+
+/// FNV-1a over `"{n}\t{covered}\n"` followed by the body.
+fn snapshot_digest(n: usize, covered: u64, body: &[u8]) -> u64 {
+    fnv1a_extend(fnv1a(format!("{n}\t{covered}\n").as_bytes()), body)
 }
 
 /// Reads and verifies a snapshot file. `Ok(None)` when absent (fresh
@@ -287,7 +312,7 @@ fn read_snapshot(path: &Path) -> Result<Option<(Vec<Vertex>, u64)>, String> {
     let n: usize = f[2].parse().map_err(|_| bad())?;
     let covered: u64 = f[3].parse().map_err(|_| bad())?;
     let digest = u64::from_str_radix(f[4], 16).map_err(|_| bad())?;
-    if snapshot_digest(n, covered, body) != digest {
+    if snapshot_digest(n, covered, body.as_bytes()) != digest {
         return Err(format!(
             "{}: snapshot digest mismatch (torn write or tampering) — refusing to resume \
              from untrusted state",
@@ -469,6 +494,36 @@ mod tests {
             Ok(_) => panic!("compacted WAL without snapshot accepted"),
         };
         assert!(err.contains("compacted past"), "got: {err}");
+    }
+
+    #[test]
+    fn snapshot_file_bytes_are_pinned() {
+        // Bytes and digest as the `p.to_string()` renderer wrote them
+        // for this state; the in-place renderer must match exactly.
+        let d = tmpdir("pinned");
+        let s = ServeState::open_fresh(&d, 14, 0).unwrap();
+        for (u, v) in [(0, 1), (2, 3), (1, 3), (11, 12), (10, 13), (5, 9), (12, 4)] {
+            s.add_edge(u, v).unwrap();
+        }
+        s.snapshot().unwrap();
+        let bytes = std::fs::read(d.join(SNAP_FILE)).unwrap();
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            "eclsnap\t1\t14\t7\t23d412c92582fbe9\n\
+             0\n0\n0\n2\n4\n5\n6\n7\n8\n5\n10\n4\n11\n10\n"
+        );
+        assert_eq!(read_snapshot(&d.join(SNAP_FILE)).unwrap().unwrap().1, 7);
+    }
+
+    #[test]
+    fn snapshot_renders_every_digit_width() {
+        let parents = [0, 9, 10, 99, 100, 1_048_575, Vertex::MAX];
+        let doc = String::from_utf8(render_snapshot(&parents, 3)).unwrap();
+        let (header, body) = doc.split_once('\n').unwrap();
+        let expected: String = parents.iter().map(|p| format!("{p}\n")).collect();
+        assert_eq!(body, expected);
+        let digest = fnv1a(format!("7\t3\n{expected}").as_bytes());
+        assert_eq!(header, format!("eclsnap\t1\t7\t3\t{digest:016x}"));
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! the old or the new complete log — never a tear, never a lost
 //! acknowledged record.
 
+use ecl_obs::durable::sync_parent_dir;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -90,6 +91,7 @@ impl Wal {
         let mut file = File::create(path)?;
         writeln!(file, "eclwal\t{VERSION}\t{n}\t0")?;
         file.sync_data()?;
+        sync_parent_dir(path);
         Ok(Wal::wrap(file, path, n, 0, 0))
     }
 
@@ -324,11 +326,7 @@ impl Wal {
         };
         write_tmp().map_err(soft)?;
         std::fs::rename(&tmp, &self.path).map_err(soft)?;
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        sync_parent_dir(&self.path);
         // Swap the append handle onto the new inode before releasing
         // writer exclusivity. Past the rename, failing to reopen means
         // the WAL must be poisoned (see `compact`).

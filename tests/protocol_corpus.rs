@@ -344,3 +344,94 @@ fn submit_after_shutdown_is_refused_as_draining() {
     drop(c2);
     server.join().unwrap();
 }
+
+/// Framing over chunked reads: a pipelined burst, an over-long line and
+/// a request sharing one write, and a request split across the server's
+/// 4096-byte read boundary. Each request is answered exactly once, in
+/// order.
+#[test]
+fn pipelined_and_chunk_straddling_frames_are_answered_once_in_order() {
+    let dir = tmpdir("framing");
+    let server = Server::start(config(dir)).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    assert!(c.accepted());
+
+    // 50 requests in one write; STATS after each ADD pins the order.
+    let burst: String = (0..25)
+        .map(|i| format!("ADD {i} {}\nSTATS\n", i + 1))
+        .collect();
+    c.send_raw(burst.as_bytes()).unwrap();
+    for i in 0..25 {
+        assert_eq!(c.read_line().unwrap(), "OK linked=true", "ADD #{i}");
+        assert_eq!(
+            c.read_line().unwrap(),
+            format!("OK vertices=100 edges={} components={}", i + 1, 99 - i),
+            "STATS #{i}"
+        );
+    }
+
+    // An over-long line and the next request in the same write: one
+    // `ERR too-long`, then the request behind it.
+    let frame = format!("ADD {} 1\nPING\n", "7".repeat(1100));
+    c.send_raw(frame.as_bytes()).unwrap();
+    let reply = c.read_line().unwrap();
+    assert!(reply.starts_with("ERR too-long"), "{reply:?}");
+    assert_eq!(c.read_line().unwrap(), "OK pong");
+
+    // 819 five-byte PINGs end at byte 4095, so the ADD after them
+    // straddles the 4096-byte chunk boundary.
+    let mut frame = "PING\n".repeat(819);
+    frame.push_str("ADD 60 61\n");
+    c.send_raw(frame.as_bytes()).unwrap();
+    for i in 0..819 {
+        assert_eq!(c.read_line().unwrap(), "OK pong", "PING #{i}");
+    }
+    assert_eq!(c.read_line().unwrap(), "OK linked=true");
+    assert_eq!(
+        c.request("STATS").unwrap(),
+        "OK vertices=100 edges=26 components=74"
+    );
+
+    assert_eq!(c.request("SHUTDOWN").unwrap(), "OK draining");
+    drop(c);
+    server.join().unwrap();
+}
+
+/// A request pipelined behind `SHUTDOWN` is never executed: the drain
+/// stops the session at the request boundary, so the client sees
+/// `OK draining` and then EOF.
+#[test]
+fn request_pipelined_after_shutdown_is_not_executed() {
+    let dir = tmpdir("shutdown_pipelined");
+    let server = Server::start(config(dir)).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    assert!(c.accepted());
+    c.send_raw(b"SHUTDOWN\nPING\n").unwrap();
+    assert_eq!(c.read_line().unwrap(), "OK draining");
+    match c.read_line() {
+        Err(_) => {}
+        Ok(line) => panic!("request after SHUTDOWN was served: {line:?}"),
+    }
+    drop(c);
+    server.join().unwrap();
+}
+
+/// `Server::stop` with no client connected wakes the blocking accept
+/// loop, on a loopback and on an unspecified bind address alike.
+#[test]
+fn stop_wakes_an_idle_accept_loop() {
+    for (tag, bind) in [("stop_loopback", "127.0.0.1:0"), ("stop_any", "0.0.0.0:0")] {
+        let mut cfg = config(tmpdir(tag));
+        cfg.addr = bind.to_string();
+        let server = Server::start(cfg).unwrap();
+        server.stop();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.join()).unwrap());
+        let joined = rx
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{bind}: join did not return within 2 s"));
+        joined.unwrap();
+    }
+}
