@@ -276,7 +276,17 @@ for KEY in '"experiment":"adaptive"' '"pass":true' '"social_reduction_met":true'
     grep -q "$KEY" BENCH_adaptive.json \
         || { echo "committed BENCH_adaptive.json missing $KEY"; exit 1; }
 done
-echo "    adaptive gate: byte-identity + social reduction >= 30% (tiny run + committed artifact)"
+# The committed artifact must stay reproducible: a fresh bench-scale run
+# must match every deterministic field of every record (edge counts, skip
+# fraction, simulated cycles and L2 reads, label identity); timings vary.
+./target/release/harness adaptive --scale bench \
+    --json "$BATCH_DIR/adaptive-bench.json" > /dev/null
+ADAPT_FIELDS='"(baseline_edges|sampling_edges|skip_fraction|gpu_base_cycles|gpu_sampling_cycles|gpu_base_l2_reads|gpu_sampling_l2_reads|labels_match)":[^,}]*'
+diff <(grep -oE "$ADAPT_FIELDS" BENCH_adaptive.json) \
+    <(grep -oE "$ADAPT_FIELDS" "$BATCH_DIR/adaptive-bench.json") \
+    || { echo "harness adaptive --scale bench no longer reproduces BENCH_adaptive.json"; exit 1; }
+rm -f "$BATCH_DIR/adaptive-bench.json"
+echo "    adaptive gate: byte-identity + social reduction >= 30% (tiny run + committed artifact, reproduced at bench scale)"
 
 echo "==> harness telemetry gate"
 # The live-telemetry acceptance gates: recording-on vs recording-off

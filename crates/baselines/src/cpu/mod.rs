@@ -2,7 +2,6 @@
 //! (`ecl-parallel`) and the shared CSR graph, so runtime differences
 //! against ECL-CC_OMP reflect the algorithms.
 
-pub mod afforest;
 pub mod bfscc;
 pub mod crono;
 pub mod galois_async;

@@ -84,7 +84,7 @@ pub fn table1() {
             "CPU",
             "parallel",
             "Afforest*",
-            "ecl-baselines::cpu::afforest (beyond paper)",
+            "ecl-cc::parallel with --sampling 2 (beyond paper)",
         ],
         vec![
             "CPU",

@@ -164,6 +164,8 @@ pub fn run_algorithm(name: &str, g: &CsrGraph, threads: usize) -> Result<CcResul
 /// implementations (`serial`, `parallel`, `gpu`); requesting it with a
 /// baseline algorithm is an error — the baselines have no sampling
 /// variant, and silently ignoring the flag would invalidate comparisons.
+/// `afforest` is itself parallel ECL-CC with sampling at K = 2, so it
+/// takes no `--sampling` either.
 pub fn run_algorithm_cfg(
     name: &str,
     g: &CsrGraph,
@@ -198,7 +200,7 @@ pub fn run_algorithm_cfg(
         "irgl" => gpu_run(ecl_baselines::gpu::irgl::run),
         "bfscc" => ecl_baselines::cpu::bfscc::run(g, threads),
         "bfscc-hybrid" => ecl_baselines::cpu::bfscc::run_direction_optimizing(g, threads),
-        "afforest" => ecl_baselines::cpu::afforest::run(g, threads),
+        "afforest" => ecl_cc::parallel::run(g, threads, &EclConfig::with_sampling(2)),
         "label-prop" => ecl_baselines::cpu::label_prop::run(g, threads),
         "multistep" => ecl_baselines::cpu::multistep::run(g, threads),
         "crono" => ecl_baselines::cpu::crono::run(g, threads)

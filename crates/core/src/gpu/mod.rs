@@ -18,18 +18,40 @@
 //! All three compute kernels share the warp-vector `find`/`hook` from
 //! [`warp_ops`] (the paper's Figs. 5 and 6).
 //!
-//! When [`EclConfig::sampling`] is set, [`try_run`] dispatches to the
-//! adaptive seven-launch pipeline in [`sampling`] instead (neighbor
-//! sampling + giant-component short-circuit); labels stay byte-identical.
+//! When [`EclConfig::sampling`] is set (neighbor sampling plus the
+//! giant-component short-circuit of [`crate::sampling`]) the same kernel
+//! bodies run as seven launches, with labels byte-identical:
+//!
+//! 1. `init` — unchanged.
+//! 2. `sample_hook` — thread granularity; every vertex hooks its first
+//!    *K* neighbors (no direction filter, no worklist: K is small, so
+//!    thread granularity suffices for every degree).
+//! 3. `compress` — the `finalize` kernel with [`FiniKind::Single`], so
+//!    the host probe reads component labels, not chains.
+//! 4. `final_hook_skip` — `compute1` with a skip test: the host downloads
+//!    the compressed labels (untimed), estimates the giant root, and
+//!    uploads them as a frozen read-only snapshot; every vertex labeled
+//!    with the giant root in that snapshot retires its lanes.
+//! 5. `compute2` / 6. `compute3` / 7. `finalize` — unchanged.
+//!
+//! After sampling, the three hooking kernels scan an edge window that
+//! starts past the K sampled entries and takes both directions of every
+//! edge, because a skipped neighbor never scans the edge back. Reading
+//! the frozen snapshot rather than the live parent array keeps the skip
+//! set, the reported [`crate::sampling::SampleStats`] and the labels
+//! deterministic and identical to the serial and parallel paths.
 
-pub mod sampling;
+#[cfg(test)]
+mod sampling;
 pub mod warp_ops;
 
 use crate::config::{EclConfig, FiniKind, InitKind};
 use crate::error::EclError;
 use crate::result::CcResult;
-use ecl_gpu_sim::{Gpu, KernelStats, Lanes, Mask, LANES};
+use crate::sampling::{estimate_giant, stats_from_snapshot};
+use ecl_gpu_sim::{DevicePtr, Gpu, KernelStats, Lanes, Mask, SimError, WarpCtx, LANES};
 use ecl_unionfind::concurrent::JumpKind;
+use std::sync::{Arc, Mutex};
 use warp_ops::{probe_path_lengths, warp_find, warp_find_intermediate, warp_hook, warp_walk};
 
 /// Accumulated parent-path-length statistics (Table 4) gathered by the
@@ -77,14 +99,15 @@ impl PathLengthStats {
 #[derive(Clone, Debug)]
 pub struct GpuRunStats {
     /// Per-kernel stats in launch order: init, compute1, compute2,
-    /// compute3, finalize.
+    /// compute3, finalize; under sampling init, sample_hook, compress,
+    /// final_hook_skip, compute2, compute3, finalize.
     pub kernels: Vec<KernelStats>,
     /// Vertices routed to the warp-granularity kernel.
     pub worklist_mid: usize,
     /// Vertices routed to the block-granularity kernel.
     pub worklist_big: usize,
     /// Path-length statistics, present when
-    /// [`EclConfig::record_path_lengths`] was set.
+    /// [`EclConfig::record_path_lengths`] was set, with or without sampling.
     pub path_lengths: Option<PathLengthStats>,
     /// Sampling work counters, present when the run used the adaptive
     /// pipeline ([`EclConfig::sampling`]).
@@ -92,7 +115,7 @@ pub struct GpuRunStats {
 }
 
 impl GpuRunStats {
-    /// Total simulated cycles across the five kernels.
+    /// Total simulated cycles across every launch of the run.
     pub fn total_cycles(&self) -> u64 {
         self.kernels.iter().map(|k| k.cycles).sum()
     }
@@ -161,51 +184,176 @@ pub fn try_run(
             directed_edges: g.num_directed_edges(),
         });
     }
-    if let Some(scfg) = cfg.sampling {
-        return sampling::try_run_sampling(gpu, g, cfg, &scfg);
-    }
     let kernels_before = gpu.kernel_stats().len();
 
     // ---- device buffers (uploads are untimed, like a prior memcpy) ----
     let nidx_host: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
-    let nidx = gpu.alloc_from(&nidx_host);
-    let nlist = gpu.alloc_from(g.adjacency());
-    let parent = gpu.alloc(n.max(1));
-    let wl = gpu.alloc(n.max(1));
-    let wlctr = gpu.alloc(2);
+    let total = gpu.suggested_threads(n.max(1));
+    let d = Dev {
+        nidx: gpu.alloc_from(&nidx_host),
+        nlist: gpu.alloc_from(g.adjacency()),
+        parent: gpu.alloc(n.max(1)),
+        wl: gpu.alloc(n.max(1)),
+        wlctr: gpu.alloc(2),
+        nu: n as u32,
+        total,
+        stride: total as u32,
+    };
 
     // Behind an `Arc<Mutex<_>>` so the kernel closures are `Fn + Send +
     // Sync + 'static` for the mode-aware `*_sync` launches (the persistent
     // worker pool runs them on long-lived threads); in serial mode the lock
     // is always uncontended and the probe stays untimed either way.
-    let paths = cfg
+    let paths: Paths = cfg
         .record_path_lengths
-        .then(|| std::sync::Arc::new(std::sync::Mutex::new(PathLengthStats::default())));
+        .then(|| Arc::new(Mutex::new(PathLengthStats::default())));
 
-    let nu = n as u32;
-    let total = gpu.suggested_threads(n.max(1));
-    let stride = total as u32;
+    init(gpu, d, cfg.init)?;
 
-    // ---------------- kernel 1: init ----------------------------------
-    let init_kind = cfg.init;
-    gpu.try_launch_warps_sync("init", total, move |w| {
+    let (skip, win, sampling) = match cfg.sampling {
+        None => (
+            None,
+            Window {
+                skip: 0,
+                lower_only: true,
+            },
+            None,
+        ),
+        Some(scfg) => {
+            let k = scfg.k.max(1);
+            sample_hook(gpu, d, cfg.jump, k as u32, &paths)?;
+            finalize(gpu, d, "compress", FiniKind::Single)?;
+            // Host probe: giant root + frozen skip snapshot. The download
+            // is untimed (measurement protocol); the snapshot goes back up
+            // as a read-only buffer so the device skip test is
+            // deterministic and byte-equal to the CPU paths' accounting.
+            let snapshot = download_parents(gpu, d, n);
+            let giant = estimate_giant(&snapshot, scfg.probe);
+            let stats = stats_from_snapshot(g, k, &snapshot, giant);
+            // No vertex ID reaches u32::MAX (size-checked), so it is a
+            // safe "skip nothing" sentinel when the probe found no giant.
+            let snap = gpu.alloc_from(&snapshot);
+            (
+                Some((snap, giant.unwrap_or(u32::MAX))),
+                Window {
+                    skip: k as u32,
+                    lower_only: false,
+                },
+                Some(stats),
+            )
+        }
+    };
+
+    let name = if skip.is_some() {
+        "final_hook_skip"
+    } else {
+        "compute1"
+    };
+    hook_route(gpu, d, name, cfg, win, skip, &paths)?;
+    // Worklist sizes become known to the host here (the CUDA code reads
+    // them in-kernel; reading them between launches is untimed either way).
+    let ctr = gpu.download(d.wlctr);
+    let (mid_count, big_count) = (ctr[0], ctr[1]);
+    compute2(gpu, d, cfg.jump, win, mid_count, &paths)?;
+    compute3(gpu, d, cfg.jump, win, big_count, &paths)?;
+    finalize(gpu, d, "finalize", cfg.fini)?;
+
+    let labels = download_parents(gpu, d, n);
+    let stats = GpuRunStats {
+        kernels: gpu.kernel_stats()[kernels_before..].to_vec(),
+        worklist_mid: mid_count as usize,
+        worklist_big: big_count as usize,
+        path_lengths: paths.map(|m| {
+            // The pool dropped its clones when the launches completed; fall
+            // back to a lock only if an abort left a straggler alive.
+            Arc::try_unwrap(m)
+                .map(|mx| mx.into_inner().unwrap())
+                .unwrap_or_else(|arc| *arc.lock().unwrap())
+        }),
+        sampling,
+    };
+    Ok((CcResult::new(labels), stats))
+}
+
+/// The device buffers and launch geometry every kernel of one run shares.
+#[derive(Clone, Copy)]
+struct Dev {
+    nidx: DevicePtr,
+    nlist: DevicePtr,
+    parent: DevicePtr,
+    wl: DevicePtr,
+    wlctr: DevicePtr,
+    nu: u32,
+    /// Threads of every thread-granularity launch (grid-stride).
+    total: usize,
+    stride: u32,
+}
+
+/// The slice of each adjacency list the three hooking kernels scan.
+#[derive(Clone, Copy)]
+struct Window {
+    /// Leading entries already hooked by `sample_hook` (0 without sampling).
+    skip: u32,
+    /// Process only the `u < v` direction of each edge. After sampling
+    /// both directions are needed: a skipped neighbor never scans the edge
+    /// back, so the live endpoint must.
+    lower_only: bool,
+}
+
+impl Window {
+    fn start(self, beg: u32, end: u32) -> u32 {
+        beg.saturating_add(self.skip).min(end)
+    }
+
+    fn filter(self, e: Mask, u: &Lanes, v: &Lanes) -> Mask {
+        if self.lower_only {
+            e & u.lt(v)
+        } else {
+            e
+        }
+    }
+}
+
+/// The path-length accumulator shared with the kernel closures.
+type Paths = Option<Arc<Mutex<PathLengthStats>>>;
+
+/// Untimed probe of the parent-path lengths ahead of a find (Table 4).
+fn probe(paths: &Paths, w: &WarpCtx, parent: DevicePtr, v: &Lanes, mask: Mask) {
+    if let Some(acc) = paths {
+        let lens = probe_path_lengths(w, parent, v, mask);
+        acc.lock().unwrap().absorb(&lens, mask);
+    }
+}
+
+/// Untimed download of the first `n` parents.
+fn download_parents(gpu: &Gpu, d: Dev, n: usize) -> Vec<u32> {
+    if n == 0 {
+        Vec::new()
+    } else {
+        gpu.download(d.parent)[..n].to_vec()
+    }
+}
+
+/// Kernel `init`: every vertex's starting parent per `kind`.
+fn init(gpu: &mut Gpu, d: Dev, kind: InitKind) -> Result<KernelStats, SimError> {
+    gpu.try_launch_warps_sync("init", d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
+            let m = w.launch_mask() & v.lt_scalar(d.nu);
             if m.none() {
                 return;
             }
-            let label = match init_kind {
+            let label = match kind {
                 InitKind::VertexId => v,
                 InitKind::MinNeighbor | InitKind::FirstSmaller => {
-                    let beg = w.load(nidx, &v, m);
-                    let end = w.load(nidx, &v.add_scalar(1), m);
+                    let beg = w.load(d.nidx, &v, m);
+                    let end = w.load(d.nidx, &v.add_scalar(1), m);
                     let mut label = v;
                     let mut i = beg;
                     let mut scan = m & i.lt(&end);
                     while scan.any() {
-                        let nb = w.load(nlist, &i, scan);
-                        match init_kind {
+                        let nb = w.load(d.nlist, &i, scan);
+                        match kind {
                             InitKind::MinNeighbor => {
                                 let less = scan & nb.lt(&label);
                                 label.assign_masked(&nb, less);
@@ -225,112 +373,169 @@ pub fn try_run(
                     label
                 }
             };
-            w.store(parent, &v, &label, m);
-            v = v.add_scalar(stride);
+            w.store(d.parent, &v, &label, m);
+            v = v.add_scalar(d.stride);
             w.alu(1);
         }
-    })?;
+    })
+}
 
-    // ---------------- kernel 2: compute1 (thread granularity) ----------
-    let jump = cfg.jump;
-    let warp_thresh = cfg.warp_threshold as u32;
-    let block_thresh = cfg.block_threshold as u32;
-    let paths_k = paths.clone();
-    gpu.try_launch_warps_sync("compute1", total, move |w| {
-        let paths = &paths_k;
+/// Kernel `sample_hook`: the first `k` adjacency entries of every vertex,
+/// hooked min-wins in both directions. K is bounded and small, so there
+/// is no degree routing here.
+fn sample_hook(
+    gpu: &mut Gpu,
+    d: Dev,
+    jump: JumpKind,
+    k: u32,
+    paths: &Paths,
+) -> Result<KernelStats, SimError> {
+    let paths = paths.clone();
+    gpu.try_launch_warps_sync("sample_hook", d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
+            let m = w.launch_mask() & v.lt_scalar(d.nu);
             if m.none() {
                 return;
             }
-            let beg = w.load(nidx, &v, m);
-            let end = w.load(nidx, &v.add_scalar(1), m);
-            let deg = end.zip(&beg, u32::wrapping_sub);
+            let beg = w.load(d.nidx, &v, m);
+            let end = w.load(d.nidx, &v.add_scalar(1), m);
+            let stop = beg.zip(&end, |b, e| b.saturating_add(k).min(e));
             w.alu(2);
-
-            // Route medium-degree vertices to the worklist front.
-            let mid = m & deg.gt(&Lanes::splat(warp_thresh)) & deg.le(&Lanes::splat(block_thresh));
-            if mid.any() {
-                let slot = w.atomic_add(wlctr, &Lanes::splat(0), &Lanes::splat(1), mid);
-                w.store(wl, &slot, &v, mid);
+            probe(&paths, w, d.parent, &v, m);
+            let mut v_rep = warp_find(w, d.parent, &v, m, jump);
+            let mut i = beg;
+            let mut e = m & i.lt(&stop);
+            while e.any() {
+                let u = w.load(d.nlist, &i, e);
+                probe(&paths, w, d.parent, &u, e);
+                let u_rep = warp_find(w, d.parent, &u, e, jump);
+                let merged = warp_hook(w, d.parent, &u_rep, &v_rep, e);
+                v_rep.assign_masked(&merged, e);
+                i = i.add_scalar(1);
+                e &= i.lt(&stop);
+                w.alu(2);
             }
-            // Route high-degree vertices to the worklist back.
-            let big = m & deg.gt(&Lanes::splat(block_thresh));
-            if big.any() {
-                let taken = w.atomic_add(wlctr, &Lanes::splat(1), &Lanes::splat(1), big);
-                let slot = taken.map(|t| nu - 1 - t);
-                w.store(wl, &slot, &v, big);
-            }
-
-            // Process low-degree vertices immediately.
-            let small = m & deg.le(&Lanes::splat(warp_thresh));
-            if small.any() {
-                if let Some(acc) = &paths {
-                    let lens = probe_path_lengths(w, parent, &v, small);
-                    acc.lock().unwrap().absorb(&lens, small);
-                }
-                let mut v_rep = warp_find(w, parent, &v, small, jump);
-                let mut i = beg;
-                let mut e = small & i.lt(&end);
-                while e.any() {
-                    let u = w.load(nlist, &i, e);
-                    // Only one direction of each undirected edge (v > u).
-                    let proc = e & u.lt(&v);
-                    if proc.any() {
-                        if let Some(acc) = &paths {
-                            let lens = probe_path_lengths(w, parent, &u, proc);
-                            acc.lock().unwrap().absorb(&lens, proc);
-                        }
-                        let u_rep = warp_find(w, parent, &u, proc, jump);
-                        let merged = warp_hook(w, parent, &u_rep, &v_rep, proc);
-                        v_rep.assign_masked(&merged, proc);
-                    }
-                    i = i.add_scalar(1);
-                    e &= i.lt(&end);
-                    w.alu(2);
-                }
-            }
-            v = v.add_scalar(stride);
+            v = v.add_scalar(d.stride);
             w.alu(1);
         }
-    })?;
+    })
+}
 
-    // Worklist sizes become known to the host here (the CUDA code reads
-    // them in-kernel; reading them between launches is untimed either way).
-    let ctr = gpu.download(wlctr);
-    let (mid_count, big_count) = (ctr[0], ctr[1]);
+/// Kernel `compute1` (thread granularity): hooks the window of every
+/// low-degree vertex and routes the rest to the double-sided worklist by
+/// window size. With `skip = Some((snapshot, giant))` it runs as
+/// `final_hook_skip`: vertices labeled `giant` in the frozen snapshot are
+/// provably connected to it already and retire their lanes.
+fn hook_route(
+    gpu: &mut Gpu,
+    d: Dev,
+    name: &str,
+    cfg: &EclConfig,
+    win: Window,
+    skip: Option<(DevicePtr, u32)>,
+    paths: &Paths,
+) -> Result<KernelStats, SimError> {
+    let jump = cfg.jump;
+    let warp_thresh = Lanes::splat(cfg.warp_threshold as u32);
+    let block_thresh = Lanes::splat(cfg.block_threshold as u32);
+    let paths = paths.clone();
+    gpu.try_launch_warps_sync(name, d.total, move |w| {
+        let mut v = w.thread_ids();
+        loop {
+            let m = w.launch_mask() & v.lt_scalar(d.nu);
+            if m.none() {
+                return;
+            }
+            let live = match skip {
+                Some((snap, giant)) => {
+                    let label = w.load(snap, &v, m);
+                    w.alu(1);
+                    m & label.ne_mask(&Lanes::splat(giant))
+                }
+                None => m,
+            };
+            if live.any() {
+                let beg = w.load(d.nidx, &v, live);
+                let end = w.load(d.nidx, &v.add_scalar(1), live);
+                let start = beg.zip(&end, |b, e| win.start(b, e));
+                let deg = end.zip(&start, u32::wrapping_sub);
+                w.alu(2);
 
-    // ---------------- kernel 3: compute2 (warp granularity) ------------
-    let paths_k = paths.clone();
-    gpu.try_launch_warps_sync("compute2", total, move |w| {
-        let paths = &paths_k;
+                // Route medium-degree vertices to the worklist front.
+                let mid = live & deg.gt(&warp_thresh) & deg.le(&block_thresh);
+                if mid.any() {
+                    let slot = w.atomic_add(d.wlctr, &Lanes::splat(0), &Lanes::splat(1), mid);
+                    w.store(d.wl, &slot, &v, mid);
+                }
+                // Route high-degree vertices to the worklist back.
+                let big = live & deg.gt(&block_thresh);
+                if big.any() {
+                    let taken = w.atomic_add(d.wlctr, &Lanes::splat(1), &Lanes::splat(1), big);
+                    let slot = taken.map(|t| d.nu - 1 - t);
+                    w.store(d.wl, &slot, &v, big);
+                }
+
+                // Process low-degree vertices immediately.
+                let small = live & deg.le(&warp_thresh);
+                if small.any() {
+                    probe(&paths, w, d.parent, &v, small);
+                    let mut v_rep = warp_find(w, d.parent, &v, small, jump);
+                    let mut i = start;
+                    let mut e = small & i.lt(&end);
+                    while e.any() {
+                        let u = w.load(d.nlist, &i, e);
+                        let proc = win.filter(e, &u, &v);
+                        if proc.any() {
+                            probe(&paths, w, d.parent, &u, proc);
+                            let u_rep = warp_find(w, d.parent, &u, proc, jump);
+                            let merged = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
+                            v_rep.assign_masked(&merged, proc);
+                        }
+                        i = i.add_scalar(1);
+                        e &= i.lt(&end);
+                        w.alu(2);
+                    }
+                }
+            }
+            v = v.add_scalar(d.stride);
+            w.alu(1);
+        }
+    })
+}
+
+/// Kernel `compute2` (warp granularity): each warp hooks the window of
+/// one medium-degree worklist vertex, 32 edges at a time.
+fn compute2(
+    gpu: &mut Gpu,
+    d: Dev,
+    jump: JumpKind,
+    win: Window,
+    mid_count: u32,
+    paths: &Paths,
+) -> Result<KernelStats, SimError> {
+    let paths = paths.clone();
+    gpu.try_launch_warps_sync("compute2", d.total, move |w| {
         let num_warps = (w.total_threads() as usize / LANES) as u32;
         let mut wi = w.thread_ids().get(0) / LANES as u32;
         while wi < mid_count {
-            let v = w.load_uniform(wl, wi);
-            let beg = w.load_uniform(nidx, v);
-            let end = w.load_uniform(nidx, v + 1);
-            if let Some(acc) = &paths {
-                let lens = probe_path_lengths(w, parent, &Lanes::splat(v), Mask(1));
-                acc.lock().unwrap().absorb(&lens, Mask(1));
-            }
-            let v_rep0 = warp_find(w, parent, &Lanes::splat(v), Mask(1), jump).get(0);
-            let mut v_rep = Lanes::splat(v_rep0);
+            let v = w.load_uniform(d.wl, wi);
+            let beg = w.load_uniform(d.nidx, v);
+            let end = w.load_uniform(d.nidx, v + 1);
             let vv = Lanes::splat(v);
-            let mut base = beg;
+            probe(&paths, w, d.parent, &vv, Mask(1));
+            let v_rep0 = warp_find(w, d.parent, &vv, Mask(1), jump).get(0);
+            let mut v_rep = Lanes::splat(v_rep0);
+            let mut base = win.start(beg, end);
             while base < end {
                 let idx = Lanes::iota(base, 1);
                 let m = idx.lt_scalar(end);
-                let u = w.load(nlist, &idx, m);
-                let proc = m & u.lt(&vv);
+                let u = w.load(d.nlist, &idx, m);
+                let proc = win.filter(m, &u, &vv);
                 if proc.any() {
-                    if let Some(acc) = &paths {
-                        let lens = probe_path_lengths(w, parent, &u, proc);
-                        acc.lock().unwrap().absorb(&lens, proc);
-                    }
-                    let u_rep = warp_find(w, parent, &u, proc, jump);
-                    let merged = warp_hook(w, parent, &u_rep, &v_rep, proc);
+                    probe(&paths, w, d.parent, &u, proc);
+                    let u_rep = warp_find(w, d.parent, &u, proc, jump);
+                    let merged = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                     v_rep.assign_masked(&merged, proc);
                 }
                 base += LANES as u32;
@@ -339,44 +544,47 @@ pub fn try_run(
             wi += num_warps;
             w.alu(1);
         }
-    })?;
+    })
+}
 
-    // ---------------- kernel 4: compute3 (block granularity) -----------
+/// Kernel `compute3` (block granularity): each block hooks the window of
+/// one high-degree worklist vertex, a block's threads of edges at a time.
+fn compute3(
+    gpu: &mut Gpu,
+    d: Dev,
+    jump: JumpKind,
+    win: Window,
+    big_count: u32,
+    paths: &Paths,
+) -> Result<KernelStats, SimError> {
     let nblocks = (gpu.profile().num_sms * 4).max(1);
     let tpb = gpu.profile().threads_per_block as u32;
-    let paths_k = paths.clone();
+    let paths = paths.clone();
     gpu.try_launch_blocks_sync("compute3", nblocks, move |b| {
-        let paths = &paths_k;
         let mut j = b.block_idx() as u32;
         let step = b.num_blocks() as u32;
         while j < big_count {
-            let v = b.load_uniform(wl, nu - 1 - j);
-            let beg = b.load_uniform(nidx, v);
-            let end = b.load_uniform(nidx, v + 1);
+            let v = b.load_uniform(d.wl, d.nu - 1 - j);
+            let beg = b.load_uniform(d.nidx, v);
+            let end = b.load_uniform(d.nidx, v + 1);
             b.for_each_warp(|w| {
                 let warp_in_block = (w.thread_ids().get(0) % tpb) / LANES as u32;
-                if let Some(acc) = &paths {
-                    if warp_in_block == 0 {
-                        let lens = probe_path_lengths(w, parent, &Lanes::splat(v), Mask(1));
-                        acc.lock().unwrap().absorb(&lens, Mask(1));
-                    }
-                }
-                let v_rep0 = warp_find(w, parent, &Lanes::splat(v), Mask(1), jump).get(0);
-                let mut v_rep = Lanes::splat(v_rep0);
                 let vv = Lanes::splat(v);
-                let mut base = beg + warp_in_block * LANES as u32;
+                if warp_in_block == 0 {
+                    probe(&paths, w, d.parent, &vv, Mask(1));
+                }
+                let v_rep0 = warp_find(w, d.parent, &vv, Mask(1), jump).get(0);
+                let mut v_rep = Lanes::splat(v_rep0);
+                let mut base = win.start(beg, end) + warp_in_block * LANES as u32;
                 while base < end {
                     let idx = Lanes::iota(base, 1);
                     let m = idx.lt_scalar(end);
-                    let u = w.load(nlist, &idx, m);
-                    let proc = m & u.lt(&vv);
+                    let u = w.load(d.nlist, &idx, m);
+                    let proc = win.filter(m, &u, &vv);
                     if proc.any() {
-                        if let Some(acc) = &paths {
-                            let lens = probe_path_lengths(w, parent, &u, proc);
-                            acc.lock().unwrap().absorb(&lens, proc);
-                        }
-                        let u_rep = warp_find(w, parent, &u, proc, jump);
-                        let merged = warp_hook(w, parent, &u_rep, &v_rep, proc);
+                        probe(&paths, w, d.parent, &u, proc);
+                        let u_rep = warp_find(w, d.parent, &u, proc, jump);
+                        let merged = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                         v_rep.assign_masked(&merged, proc);
                     }
                     base += tpb;
@@ -385,56 +593,39 @@ pub fn try_run(
             });
             j += step;
         }
-    })?;
+    })
+}
 
-    // ---------------- kernel 5: finalize -------------------------------
-    let fini = cfg.fini;
-    gpu.try_launch_warps_sync("finalize", total, move |w| {
+/// Kernel `finalize` (and, with [`FiniKind::Single`], the sampling
+/// pipeline's `compress`): short-circuits every parent to its
+/// representative.
+fn finalize(gpu: &mut Gpu, d: Dev, name: &str, fini: FiniKind) -> Result<KernelStats, SimError> {
+    gpu.try_launch_warps_sync(name, d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
+            let m = w.launch_mask() & v.lt_scalar(d.nu);
             if m.none() {
                 return;
             }
             match fini {
                 FiniKind::Single => {
-                    let root = warp_walk(w, parent, &v, m);
+                    let root = warp_walk(w, d.parent, &v, m);
                     let moved = m & root.ne_mask(&v);
-                    w.store(parent, &v, &root, moved);
+                    w.store(d.parent, &v, &root, moved);
                 }
                 FiniKind::Intermediate => {
-                    let root = warp_find_intermediate(w, parent, &v, m);
+                    let root = warp_find_intermediate(w, d.parent, &v, m);
                     let moved = m & root.ne_mask(&v);
-                    w.store(parent, &v, &root, moved);
+                    w.store(d.parent, &v, &root, moved);
                 }
                 FiniKind::Multiple => {
-                    let _ = warp_find(w, parent, &v, m, JumpKind::Multiple);
+                    let _ = warp_find(w, d.parent, &v, m, JumpKind::Multiple);
                 }
             }
-            v = v.add_scalar(stride);
+            v = v.add_scalar(d.stride);
             w.alu(1);
         }
-    })?;
-
-    let labels = if n == 0 {
-        Vec::new()
-    } else {
-        gpu.download(parent)[..n].to_vec()
-    };
-    let stats = GpuRunStats {
-        kernels: gpu.kernel_stats()[kernels_before..].to_vec(),
-        worklist_mid: mid_count as usize,
-        worklist_big: big_count as usize,
-        path_lengths: paths.map(|m| {
-            // The pool dropped its clones when the launches completed; fall
-            // back to a lock only if an abort left a straggler alive.
-            std::sync::Arc::try_unwrap(m)
-                .map(|mx| mx.into_inner().unwrap())
-                .unwrap_or_else(|arc| *arc.lock().unwrap())
-        }),
-        sampling: None,
-    };
-    Ok((CcResult::new(labels), stats))
+    })
 }
 
 #[cfg(test)]

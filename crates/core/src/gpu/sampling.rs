@@ -1,348 +1,12 @@
-//! The adaptive sampling pipeline on the simulated GPU.
-//!
-//! When [`EclConfig::sampling`] is set, [`super::try_run`] delegates
-//! here and the five-kernel structure becomes seven launches:
-//!
-//! 1. `init` — unchanged.
-//! 2. `sample_hook` — thread granularity; every vertex hooks its first
-//!    *K* neighbors (no direction filter, no worklist — K is small, so
-//!    thread granularity suffices for every degree).
-//! 3. `compress` — points every parent at its partial-forest root (the
-//!    finalize-Single body), making the labels the host probes below.
-//! 4. `final_hook_skip` — thread granularity; loads the frozen
-//!    post-compress snapshot and retires every vertex already labeled
-//!    with the giant root. Survivors process their *remaining* adjacency
-//!    (`K..degree`, both directions) or are routed to the double-sided
-//!    worklist by remaining degree, exactly like `compute1`.
-//! 5. `compute2` / 6. `compute3` — warp/block granularity over the
-//!    worklist, scanning `K..degree` without the direction filter.
-//! 7. `finalize` — unchanged.
-//!
-//! Between `compress` and `final_hook_skip` the host downloads the
-//! compressed labels (untimed, like the result download), estimates the
-//! giant root from a fixed-size probe, and uploads the snapshot as a
-//! read-only buffer. The device skip test reads that frozen snapshot —
-//! not the live parent array — so the skip set, the reported
-//! [`SampleStats`], and the labels are all deterministic and identical
-//! to the serial and parallel adaptive paths. Path-length probes
-//! (Table 4) apply to the baseline pipeline only.
+//! Tests of the sampling configuration of the one GPU pipeline: seven
+//! launches built from the five kernel bodies plus `sample_hook` (see the
+//! [`super`] module docs).
 
-use super::warp_ops::{warp_find, warp_find_intermediate, warp_hook, warp_walk};
-use super::GpuRunStats;
-use crate::config::{EclConfig, FiniKind, InitKind, SamplingConfig};
-use crate::error::EclError;
-use crate::result::CcResult;
-use crate::sampling::{estimate_giant, stats_from_snapshot, SampleStats};
-use ecl_gpu_sim::{Gpu, Lanes, LANES};
-use ecl_unionfind::concurrent::JumpKind;
-
-/// Runs the seven-launch adaptive pipeline. Caller has already rejected
-/// oversized graphs.
-pub(super) fn try_run_sampling(
-    gpu: &mut Gpu,
-    g: &ecl_graph::CsrGraph,
-    cfg: &EclConfig,
-    scfg: &SamplingConfig,
-) -> Result<(CcResult, GpuRunStats), EclError> {
-    let n = g.num_vertices();
-    let k = scfg.k.max(1);
-    let ku = k as u32;
-    let kernels_before = gpu.kernel_stats().len();
-
-    // ---- device buffers (uploads are untimed, like a prior memcpy) ----
-    let nidx_host: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
-    let nidx = gpu.alloc_from(&nidx_host);
-    let nlist = gpu.alloc_from(g.adjacency());
-    let parent = gpu.alloc(n.max(1));
-    let wl = gpu.alloc(n.max(1));
-    let wlctr = gpu.alloc(2);
-
-    let nu = n as u32;
-    let total = gpu.suggested_threads(n.max(1));
-    let stride = total as u32;
-
-    // ---------------- kernel 1: init (same as baseline) ----------------
-    let init_kind = cfg.init;
-    gpu.try_launch_warps_sync("init", total, move |w| {
-        let mut v = w.thread_ids();
-        loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
-            if m.none() {
-                return;
-            }
-            let label = match init_kind {
-                InitKind::VertexId => v,
-                InitKind::MinNeighbor | InitKind::FirstSmaller => {
-                    let beg = w.load(nidx, &v, m);
-                    let end = w.load(nidx, &v.add_scalar(1), m);
-                    let mut label = v;
-                    let mut i = beg;
-                    let mut scan = m & i.lt(&end);
-                    while scan.any() {
-                        let nb = w.load(nlist, &i, scan);
-                        match init_kind {
-                            InitKind::MinNeighbor => {
-                                let less = scan & nb.lt(&label);
-                                label.assign_masked(&nb, less);
-                            }
-                            _ => {
-                                let found = scan & nb.lt(&v);
-                                label.assign_masked(&nb, found);
-                                scan &= !found;
-                            }
-                        }
-                        i = i.add_scalar(1);
-                        scan &= i.lt(&end);
-                        w.alu(2);
-                    }
-                    label
-                }
-            };
-            w.store(parent, &v, &label, m);
-            v = v.add_scalar(stride);
-            w.alu(1);
-        }
-    })?;
-
-    // ---------------- kernel 2: sample_hook ----------------------------
-    // First K adjacency entries of every vertex, hooked min-wins. K is
-    // bounded and small, so there is no degree routing here.
-    let jump = cfg.jump;
-    gpu.try_launch_warps_sync("sample_hook", total, move |w| {
-        let mut v = w.thread_ids();
-        loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
-            if m.none() {
-                return;
-            }
-            let beg = w.load(nidx, &v, m);
-            let end = w.load(nidx, &v.add_scalar(1), m);
-            let stop = beg.zip(&end, |b, e| b.saturating_add(ku).min(e));
-            w.alu(2);
-            let mut v_rep = warp_find(w, parent, &v, m, jump);
-            let mut i = beg;
-            let mut e = m & i.lt(&stop);
-            while e.any() {
-                let u = w.load(nlist, &i, e);
-                let u_rep = warp_find(w, parent, &u, e, jump);
-                let merged = warp_hook(w, parent, &u_rep, &v_rep, e);
-                v_rep.assign_masked(&merged, e);
-                i = i.add_scalar(1);
-                e &= i.lt(&stop);
-                w.alu(2);
-            }
-            v = v.add_scalar(stride);
-            w.alu(1);
-        }
-    })?;
-
-    // ---------------- kernel 3: compress --------------------------------
-    // Flatten every parent to its partial-forest root so the host probe
-    // (and the frozen skip snapshot) read component labels, not chains.
-    gpu.try_launch_warps_sync("compress", total, move |w| {
-        let mut v = w.thread_ids();
-        loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
-            if m.none() {
-                return;
-            }
-            let root = warp_walk(w, parent, &v, m);
-            let moved = m & root.ne_mask(&v);
-            w.store(parent, &v, &root, moved);
-            v = v.add_scalar(stride);
-            w.alu(1);
-        }
-    })?;
-
-    // ---- host probe: giant root + frozen skip snapshot ----------------
-    // The download is untimed (measurement protocol); the snapshot goes
-    // back up as a read-only buffer so the device skip test is
-    // deterministic and byte-equal to the CPU paths' accounting.
-    let snapshot: Vec<u32> = if n == 0 {
-        Vec::new()
-    } else {
-        gpu.download(parent)[..n].to_vec()
-    };
-    let giant = estimate_giant(&snapshot, scfg.probe);
-    let sample_stats: SampleStats = stats_from_snapshot(g, k, &snapshot, giant);
-    // No vertex ID reaches u32::MAX (size-checked), so it is a safe
-    // "skip nothing" sentinel when the probe found no giant.
-    let giant_val = giant.unwrap_or(u32::MAX);
-    let snap = gpu.alloc_from(&snapshot);
-
-    // ---------------- kernel 4: final_hook_skip -------------------------
-    // The compute1 shape, with three changes: the skip test against the
-    // snapshot, edge scans starting at K, and no direction filter.
-    let warp_thresh = cfg.warp_threshold as u32;
-    let block_thresh = cfg.block_threshold as u32;
-    gpu.try_launch_warps_sync("final_hook_skip", total, move |w| {
-        let mut v = w.thread_ids();
-        loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
-            if m.none() {
-                return;
-            }
-            // The short-circuit: vertices labeled with the giant root are
-            // provably already connected to it — retire their lanes.
-            let label = w.load(snap, &v, m);
-            let live = m & label.ne_mask(&Lanes::splat(giant_val));
-            w.alu(1);
-            if live.any() {
-                let beg = w.load(nidx, &v, live);
-                let end = w.load(nidx, &v.add_scalar(1), live);
-                let start = beg.zip(&end, |b, e| b.saturating_add(ku).min(e));
-                let rdeg = end.zip(&start, u32::wrapping_sub);
-                w.alu(2);
-
-                // Route by *remaining* degree, exactly like compute1.
-                let mid = live
-                    & rdeg.gt(&Lanes::splat(warp_thresh))
-                    & rdeg.le(&Lanes::splat(block_thresh));
-                if mid.any() {
-                    let slot = w.atomic_add(wlctr, &Lanes::splat(0), &Lanes::splat(1), mid);
-                    w.store(wl, &slot, &v, mid);
-                }
-                let big = live & rdeg.gt(&Lanes::splat(block_thresh));
-                if big.any() {
-                    let taken = w.atomic_add(wlctr, &Lanes::splat(1), &Lanes::splat(1), big);
-                    let slot = taken.map(|t| nu - 1 - t);
-                    w.store(wl, &slot, &v, big);
-                }
-
-                let small = live & rdeg.le(&Lanes::splat(warp_thresh));
-                if small.any() {
-                    let mut v_rep = warp_find(w, parent, &v, small, jump);
-                    let mut i = start;
-                    let mut e = small & i.lt(&end);
-                    while e.any() {
-                        let u = w.load(nlist, &i, e);
-                        // Both directions: a skipped neighbor never scans
-                        // this edge, so the live endpoint must.
-                        let u_rep = warp_find(w, parent, &u, e, jump);
-                        let merged = warp_hook(w, parent, &u_rep, &v_rep, e);
-                        v_rep.assign_masked(&merged, e);
-                        i = i.add_scalar(1);
-                        e &= i.lt(&end);
-                        w.alu(2);
-                    }
-                }
-            }
-            v = v.add_scalar(stride);
-            w.alu(1);
-        }
-    })?;
-
-    let ctr = gpu.download(wlctr);
-    let (mid_count, big_count) = (ctr[0], ctr[1]);
-
-    // ---------------- kernel 5: compute2 (warp granularity) ------------
-    gpu.try_launch_warps_sync("compute2", total, move |w| {
-        let num_warps = (w.total_threads() as usize / LANES) as u32;
-        let mut wi = w.thread_ids().get(0) / LANES as u32;
-        while wi < mid_count {
-            let v = w.load_uniform(wl, wi);
-            let beg = w.load_uniform(nidx, v);
-            let end = w.load_uniform(nidx, v + 1);
-            let start = beg.saturating_add(ku).min(end);
-            let v_rep0 = warp_find(w, parent, &Lanes::splat(v), ecl_gpu_sim::Mask(1), jump).get(0);
-            let mut v_rep = Lanes::splat(v_rep0);
-            let mut base = start;
-            while base < end {
-                let idx = Lanes::iota(base, 1);
-                let m = idx.lt_scalar(end);
-                let u = w.load(nlist, &idx, m);
-                let u_rep = warp_find(w, parent, &u, m, jump);
-                let merged = warp_hook(w, parent, &u_rep, &v_rep, m);
-                v_rep.assign_masked(&merged, m);
-                base += LANES as u32;
-                w.alu(2);
-            }
-            wi += num_warps;
-            w.alu(1);
-        }
-    })?;
-
-    // ---------------- kernel 6: compute3 (block granularity) -----------
-    let nblocks = (gpu.profile().num_sms * 4).max(1);
-    let tpb = gpu.profile().threads_per_block as u32;
-    gpu.try_launch_blocks_sync("compute3", nblocks, move |b| {
-        let mut j = b.block_idx() as u32;
-        let step = b.num_blocks() as u32;
-        while j < big_count {
-            let v = b.load_uniform(wl, nu - 1 - j);
-            let beg = b.load_uniform(nidx, v);
-            let end = b.load_uniform(nidx, v + 1);
-            let start = beg.saturating_add(ku).min(end);
-            b.for_each_warp(|w| {
-                let warp_in_block = (w.thread_ids().get(0) % tpb) / LANES as u32;
-                let v_rep0 =
-                    warp_find(w, parent, &Lanes::splat(v), ecl_gpu_sim::Mask(1), jump).get(0);
-                let mut v_rep = Lanes::splat(v_rep0);
-                let mut base = start + warp_in_block * LANES as u32;
-                while base < end {
-                    let idx = Lanes::iota(base, 1);
-                    let m = idx.lt_scalar(end);
-                    let u = w.load(nlist, &idx, m);
-                    let u_rep = warp_find(w, parent, &u, m, jump);
-                    let merged = warp_hook(w, parent, &u_rep, &v_rep, m);
-                    v_rep.assign_masked(&merged, m);
-                    base += tpb;
-                    w.alu(2);
-                }
-            });
-            j += step;
-        }
-    })?;
-
-    // ---------------- kernel 7: finalize (same as baseline) ------------
-    let fini = cfg.fini;
-    gpu.try_launch_warps_sync("finalize", total, move |w| {
-        let mut v = w.thread_ids();
-        loop {
-            let m = w.launch_mask() & v.lt_scalar(nu);
-            if m.none() {
-                return;
-            }
-            match fini {
-                FiniKind::Single => {
-                    let root = warp_walk(w, parent, &v, m);
-                    let moved = m & root.ne_mask(&v);
-                    w.store(parent, &v, &root, moved);
-                }
-                FiniKind::Intermediate => {
-                    let root = warp_find_intermediate(w, parent, &v, m);
-                    let moved = m & root.ne_mask(&v);
-                    w.store(parent, &v, &root, moved);
-                }
-                FiniKind::Multiple => {
-                    let _ = warp_find(w, parent, &v, m, JumpKind::Multiple);
-                }
-            }
-            v = v.add_scalar(stride);
-            w.alu(1);
-        }
-    })?;
-
-    let labels = if n == 0 {
-        Vec::new()
-    } else {
-        gpu.download(parent)[..n].to_vec()
-    };
-    let stats = GpuRunStats {
-        kernels: gpu.kernel_stats()[kernels_before..].to_vec(),
-        worklist_mid: mid_count as usize,
-        worklist_big: big_count as usize,
-        path_lengths: None,
-        sampling: Some(sample_stats),
-    };
-    Ok((CcResult::new(labels), stats))
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::GpuRunStats;
     use crate::config::EclConfig;
-    use ecl_gpu_sim::DeviceProfile;
+    use crate::result::CcResult;
+    use ecl_gpu_sim::{DeviceProfile, Gpu};
     use ecl_graph::generate;
 
     fn run_sampled(g: &ecl_graph::CsrGraph, k: usize) -> (CcResult, GpuRunStats) {
@@ -431,6 +95,26 @@ mod tests {
         let stats = s.sampling.unwrap();
         assert!(s.worklist_big <= 1);
         assert!(stats.skipped_vertices > 0 || s.worklist_big == 1);
+    }
+
+    #[test]
+    fn path_probe_is_untimed_under_sampling() {
+        // The probe runs ahead of every find, `sample_hook`'s included,
+        // and must not move a single counter of any launch.
+        let g = generate::kronecker(10, 8, 7);
+        let (r_plain, s_plain) = run_sampled(&g, 2);
+        let cfg = EclConfig {
+            record_path_lengths: true,
+            ..EclConfig::with_sampling(2)
+        };
+        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
+        let (r_rec, s_rec) = super::super::run(&mut gpu, &g, &cfg);
+        assert_eq!(r_rec.labels, r_plain.labels);
+        assert!(s_rec.path_lengths.unwrap().samples > 0);
+        assert!(s_plain.path_lengths.is_none());
+        let rows =
+            |s: &GpuRunStats| -> Vec<String> { s.kernels.iter().map(|k| k.to_json()).collect() };
+        assert_eq!(rows(&s_rec), rows(&s_plain));
     }
 
     #[test]

@@ -29,14 +29,15 @@ pub fn warp_find(
         }
         JumpKind::Multiple => {
             let root = warp_walk(w, parent, v, mask);
-            // Second traversal: repoint every element at the root.
+            // Second traversal: repoint every element above the root at
+            // it (a concurrent hook on another SM can lead a path below).
             let mut cur = *v;
-            let mut active = mask & cur.ne_mask(&root);
+            let mut active = mask & cur.gt(&root);
             while active.any() {
                 let next = w.load(parent, &cur, active);
                 w.store(parent, &cur, &root, active);
                 cur.assign_masked(&next, active);
-                active &= cur.ne_mask(&root);
+                active &= cur.gt(&root);
                 w.alu(2);
             }
             root

@@ -31,7 +31,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// One rung of the ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// ECL-CC's five kernels on the SIMT simulator.
+    /// ECL-CC's kernels on the SIMT simulator: five launches, or seven
+    /// under sampling.
     GpuSim,
     /// The OpenMP-style port on the workspace thread pool.
     ParallelCpu,

@@ -20,7 +20,9 @@
 //!   `[Cell<u32>]` with a plain-store hook,
 //! * [`gpu`] — the five-kernel CUDA structure on the SIMT simulator
 //!   (init, three degree-bucketed compute kernels fed by a double-sided
-//!   worklist, finalize) — the paper's headline implementation.
+//!   worklist, finalize) — the paper's headline implementation; under
+//!   sampling the same kernel bodies plus `sample_hook` run as seven
+//!   launches.
 //!
 //! [`sampling`] adds the adaptive work-efficient variant (neighbor
 //! sampling + giant-component short-circuit) on top of all three,

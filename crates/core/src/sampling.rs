@@ -209,6 +209,10 @@ mod tests {
                 "rmat-9",
                 generate::rmat(9, 6, generate::RmatParams::GALOIS, 3),
             ),
+            // Many small components: the skip must not lose any of them.
+            ("cliques-30", generate::disjoint_cliques(30, 7)),
+            // One giant component.
+            ("pa", generate::preferential_attachment(3000, 4, 9)),
             ("empty", ecl_graph::GraphBuilder::new(0).build()),
             ("isolated", ecl_graph::GraphBuilder::new(17).build()),
         ]

@@ -104,14 +104,14 @@ pub trait ParentStore {
             }
             JumpKind::Multiple => {
                 let root = self.find_naive(v);
-                // Second traversal: point every element at the root.
+                // Second traversal: point every element at the root. Only
+                // elements above the root are re-pointed: a concurrent hook
+                // can lead the path below `root`, and pointing a smaller
+                // vertex at `root` would break the decreasing chains.
                 let mut cur = v;
-                while cur != root {
+                while cur > root {
                     let next = self.get(cur);
                     self.set(cur, root);
-                    if next == cur {
-                        break;
-                    }
                     cur = next;
                 }
                 root
@@ -352,6 +352,39 @@ mod tests {
             assert_eq!(cells.find_with(7, kind), 0, "{kind:?}");
             assert_eq!(plain, p.snapshot(), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn multiple_jump_never_repoints_below_the_root() {
+        // Another thread hooks the root 2 under 0 and compresses 4 -> 0
+        // between the two traversals of `find_with(4, Multiple)`.
+        struct Racy {
+            p: AtomicParents,
+            gets: Cell<u32>,
+        }
+        impl ParentStore for Racy {
+            fn get(&self, v: u32) -> u32 {
+                self.gets.set(self.gets.get() + 1);
+                if self.gets.get() == 3 {
+                    self.p.hook(2, 0);
+                    self.p.set(4, 0);
+                }
+                self.p.get(v)
+            }
+            fn set(&self, v: u32, p: u32) {
+                self.p.set(v, p);
+            }
+            fn hook(&self, u_rep: u32, v_rep: u32) -> u32 {
+                self.p.hook(u_rep, v_rep)
+            }
+        }
+        let s = Racy {
+            p: AtomicParents::from_vec(vec![0, 1, 2, 3, 2]),
+            gets: Cell::new(0),
+        };
+        assert_eq!(s.find_with(4, JumpKind::Multiple), 2);
+        assert_eq!(s.p.get(0), 0, "the new root must stay a root");
+        assert_eq!(s.p.find_naive(4), 0);
     }
 
     #[test]

@@ -20,16 +20,23 @@ use ecl_graph::{generate, CsrGraph};
 /// (cycles, instructions, l1 hits, l2 reads, l2 writes, dram, atomics, warps).
 type KernelRow = (u64, u64, u64, u64, u64, u64, u64, u64);
 
-/// One golden serial run.
+/// One golden serial run: five kernel rows for the plain pipeline, seven
+/// under sampling.
 struct Golden {
     total_cycles: u64,
     l2_reads: u64,
     l2_writes: u64,
     components: usize,
-    kernels: [KernelRow; 5],
+    kernels: &'static [KernelRow],
 }
 
-fn check_golden(g: &CsrGraph, profile: DeviceProfile, fault: FaultPlan, want: &Golden) {
+fn check_golden(
+    g: &CsrGraph,
+    profile: DeviceProfile,
+    fault: FaultPlan,
+    cfg: EclConfig,
+    want: &Golden,
+) {
     // Every golden must hold with recording off AND on: the observability
     // recorder is observation-only, so attaching an enabled recorder must
     // not move a single cycle, cache access, or fault-RNG draw.
@@ -42,13 +49,13 @@ fn check_golden(g: &CsrGraph, profile: DeviceProfile, fault: FaultPlan, want: &G
         let mut gpu = Gpu::new(profile.clone());
         gpu.set_fault_plan(fault);
         gpu.set_recorder(recorder);
-        let (r, s) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::default());
+        let (r, s) = ecl_cc::gpu::run(&mut gpu, g, &cfg);
         assert_eq!(s.total_cycles(), want.total_cycles, "{tag}: total_cycles");
         assert_eq!(s.l2_reads(), want.l2_reads, "{tag}: l2_reads");
         assert_eq!(s.l2_writes(), want.l2_writes, "{tag}: l2_writes");
         assert_eq!(r.num_components(), want.components, "{tag}: components");
-        assert_eq!(s.kernels.len(), want.kernels.len());
-        for (k, w) in s.kernels.iter().zip(&want.kernels) {
+        assert_eq!(s.kernels.len(), want.kernels.len(), "{tag}: launches");
+        for (k, w) in s.kernels.iter().zip(want.kernels) {
             let got = (
                 k.cycles,
                 k.instructions,
@@ -70,12 +77,13 @@ fn serial_cycles_pinned_gnm_titan() {
         &generate::gnm_random(2000, 6000, 42),
         DeviceProfile::titan_x(),
         FaultPlan::none(),
+        EclConfig::default(),
         &Golden {
             total_cycles: 58350,
             l2_reads: 3260,
             l2_writes: 343,
             components: 5,
-            kernels: [
+            kernels: &[
                 (24996, 1152, 1634, 1950, 0, 1933, 0, 64),
                 (20938, 5740, 18818, 1310, 343, 68, 343, 64),
                 (4000, 0, 0, 0, 0, 0, 0, 64),
@@ -92,12 +100,13 @@ fn serial_cycles_pinned_star_tiny() {
         &generate::star(1000),
         DeviceProfile::test_tiny(),
         FaultPlan::none(),
+        EclConfig::default(),
         &Golden {
             total_cycles: 56270,
             l2_reads: 1370,
             l2_writes: 268,
             components: 1,
-            kernels: [
+            kernels: &[
                 (28662, 3218, 1006, 588, 145, 505, 0, 16),
                 (14920, 354, 184, 476, 14, 375, 1, 16),
                 (100, 0, 0, 0, 0, 0, 0, 16),
@@ -114,17 +123,124 @@ fn serial_cycles_pinned_rmat_k40() {
         &generate::rmat(10, 8, generate::RmatParams::GALOIS, 7),
         DeviceProfile::k40(),
         FaultPlan::none(),
+        EclConfig::default(),
         &Golden {
             total_cycles: 102483,
             l2_reads: 3391,
             l2_writes: 353,
             components: 6,
-            kernels: [
+            kernels: &[
                 (31107, 491, 319, 1197, 0, 1188, 0, 32),
                 (31495, 3510, 10648, 785, 353, 236, 353, 32),
                 (31384, 4009, 5091, 1409, 0, 770, 0, 32),
                 (4000, 0, 0, 0, 0, 0, 0, 0),
                 (4497, 259, 354, 0, 0, 0, 0, 32),
+            ],
+        },
+    );
+}
+
+/// The sampling pipeline's seven launches (init, sample_hook, compress,
+/// final_hook_skip, compute2, compute3, finalize), pinned like the plain
+/// goldens. The two cliques goldens keep the edge window busy in the
+/// warp kernel (default thresholds) and in the block kernel (lowered
+/// thresholds), where the power-law graphs skip every worklist vertex.
+#[test]
+fn serial_cycles_pinned_sampling_gnm_titan() {
+    check_golden(
+        &generate::gnm_random(2000, 6000, 42),
+        DeviceProfile::titan_x(),
+        FaultPlan::none(),
+        EclConfig::with_sampling(2),
+        &Golden {
+            total_cycles: 65460,
+            l2_reads: 3685,
+            l2_writes: 347,
+            components: 5,
+            kernels: &[
+                (24996, 1152, 1634, 1950, 0, 1933, 0, 64),
+                (17310, 2734, 9592, 1477, 347, 34, 347, 64),
+                (4460, 591, 752, 0, 0, 0, 0, 64),
+                (6302, 209, 67, 258, 0, 251, 0, 64),
+                (4000, 0, 0, 0, 0, 0, 0, 64),
+                (4000, 0, 0, 0, 0, 0, 0, 0),
+                (4392, 504, 689, 0, 0, 0, 0, 64),
+            ],
+        },
+    );
+}
+
+#[test]
+fn serial_cycles_pinned_sampling_kronecker_tiny() {
+    check_golden(
+        &generate::kronecker(10, 8, 7),
+        DeviceProfile::test_tiny(),
+        FaultPlan::none(),
+        EclConfig::with_sampling(2),
+        &Golden {
+            total_cycles: 106037,
+            l2_reads: 3697,
+            l2_writes: 595,
+            components: 218,
+            kernels: &[
+                (36852, 1325, 464, 897, 150, 817, 0, 16),
+                (51143, 885, 530, 2160, 196, 855, 42, 16),
+                (2816, 259, 192, 148, 112, 26, 0, 16),
+                (11490, 232, 70, 340, 28, 277, 0, 16),
+                (100, 0, 0, 0, 0, 0, 0, 16),
+                (100, 0, 0, 0, 0, 0, 0, 0),
+                (3536, 256, 187, 152, 109, 43, 0, 16),
+            ],
+        },
+    );
+}
+
+#[test]
+fn serial_cycles_pinned_sampling_cliques_tiny() {
+    let g = generate::disjoint_cliques(6, 30);
+    check_golden(
+        &g,
+        DeviceProfile::test_tiny(),
+        FaultPlan::none(),
+        EclConfig::with_sampling(2),
+        &Golden {
+            total_cycles: 73818,
+            l2_reads: 2020,
+            l2_writes: 226,
+            components: 6,
+            kernels: &[
+                (11606, 462, 171, 256, 20, 243, 0, 6),
+                (13940, 101, 47, 444, 8, 248, 0, 6),
+                (976, 48, 44, 23, 0, 9, 0, 6),
+                (5338, 54, 24, 224, 183, 59, 150, 6),
+                (41294, 1645, 1136, 1053, 15, 736, 0, 6),
+                (100, 0, 0, 0, 0, 0, 0, 0),
+                (564, 48, 47, 20, 0, 2, 0, 6),
+            ],
+        },
+    );
+    check_golden(
+        &g,
+        DeviceProfile::test_tiny(),
+        FaultPlan::none(),
+        EclConfig {
+            warp_threshold: 4,
+            block_threshold: 16,
+            ..EclConfig::with_sampling(2)
+        },
+        &Golden {
+            total_cycles: 62630,
+            l2_reads: 2165,
+            l2_writes: 225,
+            components: 6,
+            kernels: &[
+                (11606, 462, 171, 256, 20, 243, 0, 6),
+                (13940, 101, 47, 444, 8, 248, 0, 6),
+                (976, 48, 44, 23, 0, 9, 0, 6),
+                (5284, 54, 30, 218, 176, 59, 150, 6),
+                (100, 0, 0, 0, 0, 0, 0, 6),
+                (30142, 1790, 1281, 1203, 21, 605, 0, 300),
+                (582, 48, 46, 21, 0, 2, 0, 6),
             ],
         },
     );

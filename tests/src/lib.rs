@@ -87,7 +87,7 @@ fn b_bfscc_hybrid(g: &CsrGraph) -> Option<CcResult> {
     Some(ecl_baselines::cpu::bfscc::run_direction_optimizing(g, 4))
 }
 fn b_afforest(g: &CsrGraph) -> Option<CcResult> {
-    Some(ecl_baselines::cpu::afforest::run(g, 4))
+    Some(ecl_cc::parallel::run(g, 4, &EclConfig::with_sampling(2)))
 }
 fn b_multistep(g: &CsrGraph) -> Option<CcResult> {
     Some(ecl_baselines::cpu::multistep::run(g, 4))
