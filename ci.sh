@@ -68,6 +68,23 @@ for f in "$BATCH_DIR"/ref/*.labels; do
         || { echo "resume produced different bytes for $(basename "$f")"; exit 1; }
 done
 echo "    resume complete, results byte-identical"
+# The same batch through the faulted retry paths: a dead GPU behind a
+# breaker that never cools down, and sharded runs under interconnect
+# chaos. Every job must still certify the reference bytes.
+"$ECL" batch --jobs "$BATCH_DIR/jobs.txt" --workers 1 --watchdog 1 \
+    --breaker-threshold 2 --breaker-cooldown-ms 3600000 \
+    --results "$BATCH_DIR/deadgpu" --report "$BATCH_DIR/deadgpu.json" > /dev/null
+grep -q '"backend":"gpu-sim","state":"open"' "$BATCH_DIR/deadgpu.json" \
+    || { echo "dead-GPU batch did not leave the gpu-sim breaker open"; exit 1; }
+"$ECL" batch --jobs "$BATCH_DIR/jobs.txt" --shards 2 --fault-plan shard-chaos:3 \
+    --results "$BATCH_DIR/sharded" --report "$BATCH_DIR/sharded.json" > /dev/null
+for run in deadgpu sharded; do
+    for f in "$BATCH_DIR"/ref/*.labels; do
+        cmp -s "$f" "$BATCH_DIR/$run/$(basename "$f")" \
+            || { echo "$run batch produced different bytes for $(basename "$f")"; exit 1; }
+    done
+done
+echo "    dead-GPU and sharded-chaos batches byte-identical"
 
 echo "==> serial vs host-parallel equivalence smoke"
 # The same graph labeled with the simulator serial and host-parallel

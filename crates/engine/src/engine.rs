@@ -1,5 +1,5 @@
-//! The batch engine: worker pool, retry loop, breaker routing, and
-//! checkpointing, glued around the certified fallback ladder.
+//! The batch engine: worker pool, admission, and checkpointing, glued
+//! around the shared retry rounds of [`Rounds`].
 //!
 //! Lifecycle of one `run_batch` call:
 //!
@@ -10,12 +10,13 @@
 //! 2. **Admission** — pending jobs are pushed into the bounded queue,
 //!    blocking for backpressure by default or rejecting with
 //!    [`EclError::QueueFull`] under `reject_when_full`.
-//! 3. **Workers** — each worker pops a job and runs the retry loop:
-//!    breaker-filtered ladder stages, deterministic seeded backoff
-//!    between rounds, a per-round cooperative deadline, and a
-//!    [`health_probe`](ecl_gpu_sim::Gpu::health_probe) in front of any
-//!    half-open GPU probe. Every ladder attempt's outcome is fed back
-//!    into the breakers.
+//! 3. **Workers** — each worker pops a job, builds (or reuses) its graph,
+//!    and hands it to [`Rounds::run`], the retry loop the server's
+//!    `SUBMIT` workers share: deterministic seeded backoff between
+//!    rounds, a per-round cooperative deadline, and either the
+//!    breaker-filtered ladder (with a health probe in front of any
+//!    half-open GPU, every attempt fed back into the breakers) or, with
+//!    `shards_per_job > 1`, a sharded run.
 //! 4. **Checkpoint** — a certified result is persisted atomically
 //!    (write-temp-then-rename), then journaled with an fsync before the
 //!    job counts as finished. A kill between those two steps reruns one
@@ -27,14 +28,15 @@
 //! without spawning processes.
 
 use crate::backoff::BackoffPolicy;
-use crate::breaker::{Admission, BreakerConfig, BreakerSet, BACKENDS};
+use crate::breaker::{BreakerConfig, BreakerSet, BACKENDS};
 use crate::journal::{self, JournalEntry, JournalWriter};
 use crate::queue::{BoundedQueue, PushError};
 use crate::report::{AttemptReport, BatchReport, BreakerReport, ErrorReport, JobReport, JobStatus};
+use crate::rounds::{Certified, Rounds};
 use crate::spec::{jobs_digest, GraphStore, JobSpec};
-use ecl_cc::ladder::{self, AttemptOutcome, Backend, LadderConfig};
+use ecl_cc::ladder::LadderConfig;
 use ecl_cc::EclError;
-use ecl_gpu_sim::{ExecMode, Gpu};
+use ecl_gpu_sim::ExecMode;
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -117,7 +119,9 @@ pub fn labels_to_bytes(labels: &[u32]) -> Vec<u8> {
 struct Shared<'a> {
     cfg: &'a EngineConfig,
     queue: BoundedQueue<JobSpec>,
-    breakers: BreakerSet,
+    /// The retry loop and breakers; its ladder's `HostParallel(0)` (auto)
+    /// is resolved against the worker count ([`budget_exec_mode`]).
+    rounds: Rounds,
     journal: Option<Mutex<JournalWriter>>,
     reports: Mutex<Vec<JobReport>>,
     recorded: AtomicUsize,
@@ -125,9 +129,6 @@ struct Shared<'a> {
     /// Dedup cache: identical graph specs across jobs and retry rounds
     /// are built once and shared by `Arc`.
     graphs: GraphStore,
-    /// GPU exec mode with `HostParallel(0)` (auto) already resolved
-    /// against the worker count — see [`budget_exec_mode`].
-    exec: ExecMode,
 }
 
 impl Shared<'_> {
@@ -135,15 +136,9 @@ impl Shared<'_> {
         self.killed.load(Ordering::SeqCst)
     }
 
-    /// The batch's recorder (from the ladder config), when recording is
-    /// actually enabled.
-    fn recorder(&self) -> Option<&Recorder> {
-        self.cfg.ladder.recorder.as_ref().filter(|r| r.is_enabled())
-    }
-
     /// Emits a queue-depth counter sample on the engine timeline.
     fn gauge_queue_depth(&self) {
-        if let Some(rec) = self.recorder() {
+        if let Some(rec) = self.rounds.recorder() {
             rec.record(TraceEvent::counter(
                 "queue.depth",
                 "queue",
@@ -152,37 +147,6 @@ impl Shared<'_> {
                 self.queue.len() as f64,
             ));
         }
-    }
-}
-
-/// Feeds one outcome to `backend`'s breaker, emitting a state-transition
-/// instant event when the outcome flipped the breaker's state. The
-/// before/after snapshots are racy under concurrent workers — acceptable
-/// for an observability signal; the breaker itself stays authoritative.
-fn feed_breaker(shared: &Shared<'_>, backend: Backend, success: bool) {
-    let before = shared.breakers.snapshot(backend).0;
-    if success {
-        shared.breakers.record_success(backend);
-    } else {
-        shared.breakers.record_failure(backend);
-    }
-    let after = shared.breakers.snapshot(backend).0;
-    if before == after {
-        return;
-    }
-    if let Some(rec) = shared.recorder() {
-        rec.record(
-            TraceEvent::instant(
-                &format!("breaker:{}", backend.name()),
-                "breaker",
-                PID_ENGINE,
-                0,
-                rec.now_us(),
-            )
-            .arg_str("from", before.name())
-            .arg_str("to", after.name()),
-        );
-        rec.add_metric("engine.breaker_transitions", 1.0);
     }
 }
 
@@ -243,16 +207,27 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
     let shared = Shared {
         cfg,
         queue: BoundedQueue::new(cfg.queue_capacity),
-        breakers: BreakerSet::new(cfg.breaker),
+        rounds: Rounds {
+            ladder: LadderConfig {
+                exec: budget_exec_mode(
+                    cfg.ladder.exec,
+                    cfg.workers.max(1) * cfg.shards_per_job.max(1),
+                ),
+                ..cfg.ladder.clone()
+            },
+            shards: cfg.shards_per_job,
+            retries: cfg.retries,
+            backoff: cfg.backoff,
+            deadline_ms: cfg.deadline_ms,
+            breakers: BreakerSet::new(cfg.breaker),
+            flight: None,
+            flight_dir: None,
+        },
         journal: journal_writer,
         reports: Mutex::new(Vec::new()),
         recorded: AtomicUsize::new(0),
         killed: AtomicBool::new(false),
         graphs: GraphStore::new(),
-        exec: budget_exec_mode(
-            cfg.ladder.exec,
-            cfg.workers.max(1) * cfg.shards_per_job.max(1),
-        ),
     };
 
     // Recovered jobs go straight into the report.
@@ -298,19 +273,11 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
                     Ok(()) => {}
                     Err(PushError::Full(job)) => {
                         rejections += 1;
-                        shared.reports.lock().unwrap().push(JobReport {
-                            id: job.id,
-                            name: job.name,
-                            status: JobStatus::Failed,
-                            backend: None,
-                            components: None,
-                            retries: 0,
-                            attempts: Vec::new(),
-                            error: Some(ErrorReport::from_ecl(&EclError::QueueFull {
-                                capacity: cfg.queue_capacity,
-                            })),
-                            time_ms: 0.0,
+                        let full = ErrorReport::from_ecl(&EclError::QueueFull {
+                            capacity: cfg.queue_capacity,
                         });
+                        let report = failed(&job, 0, Vec::new(), full, 0.0);
+                        shared.reports.lock().unwrap().push(report);
                     }
                     Err(PushError::Closed(_)) => break,
                 }
@@ -327,7 +294,7 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
     let breakers = BACKENDS
         .iter()
         .map(|&b| {
-            let (state, trips, failures, successes) = shared.breakers.snapshot(b);
+            let (state, trips, failures, successes) = shared.rounds.breakers.snapshot(b);
             BreakerReport {
                 backend: b.name().to_string(),
                 state: state.name().to_string(),
@@ -359,8 +326,8 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
 /// serial mode). Sharded runs multiply the divisor: W workers × S shards
 /// devices may execute at once, so each gets `cores / (W*S)` threads.
 /// Explicit modes pass through untouched — the operator asked for
-/// exactly that.
-fn budget_exec_mode(requested: ExecMode, workers: usize) -> ExecMode {
+/// exactly that. The server budgets its `SUBMIT` workers the same way.
+pub fn budget_exec_mode(requested: ExecMode, workers: usize) -> ExecMode {
     match requested {
         ExecMode::HostParallel(0) => {
             let cores = std::thread::available_parallelism()
@@ -376,7 +343,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
     // Per-worker ring buffer: job spans accumulate locally and are
     // merged into the shared recorder once per job, keeping the worker
     // hot path free of recorder locks.
-    let rec = shared.recorder().cloned();
+    let rec = shared.rounds.recorder().cloned();
     let mut buf = rec
         .as_ref()
         .map(Recorder::local)
@@ -426,8 +393,8 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
     }
 }
 
-/// Runs one job's retry loop. Returns `None` when the engine was killed
-/// mid-job (the job vanishes, exactly as under a real SIGKILL).
+/// Runs one job's retry rounds. Returns `None` when the engine was
+/// killed mid-job (the job vanishes, exactly as under a real SIGKILL).
 /// `trace` is the job span's context; ladder attempts become its
 /// children.
 fn process_job(
@@ -435,392 +402,82 @@ fn process_job(
     job: &JobSpec,
     trace: Option<ecl_obs::TraceCtx>,
 ) -> Option<JobReport> {
-    let cfg = shared.cfg;
     let t0 = Instant::now();
-
     let graph = match shared.graphs.get(&job.graph) {
         Ok(g) => g,
+        // Inputs do not heal: fail without burning retries.
+        Err(e) => return Some(failed(job, 0, Vec::new(), ErrorReport::input(e), ms(t0))),
+    };
+    let out = shared
+        .rounds
+        .run(job.id, &graph, trace, || shared.killed())?;
+    match out.result {
+        Ok(cert) => finish_job(shared, job, cert, out.rounds, out.attempts, t0),
         Err(e) => {
-            // Inputs do not heal: fail without burning retries.
-            return Some(JobReport {
-                id: job.id,
-                name: job.name.clone(),
-                status: JobStatus::Failed,
-                backend: None,
-                components: None,
-                retries: 0,
-                attempts: Vec::new(),
-                error: Some(ErrorReport::input(e)),
-                time_ms: t0.elapsed().as_secs_f64() * 1e3,
-            });
-        }
-    };
-
-    if cfg.shards_per_job > 1 {
-        return process_job_sharded(shared, job, &graph, t0);
-    }
-
-    let mut attempts: Vec<AttemptReport> = Vec::new();
-    let mut last_error = EclError::Exhausted {
-        attempts: 0,
-        last: None,
-    };
-
-    for round in 0..=cfg.retries {
-        if round > 0 {
-            let delay = cfg.backoff.delay_ms(job.id, round);
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-            }
-        }
-        if shared.killed() {
-            return None;
-        }
-
-        // Per-round fault-seed perturbation, like the ladder's own
-        // per-attempt reseed: deterministic, but transient injected
-        // faults do not repeat across rounds.
-        let mut ladder_cfg = cfg.ladder.clone();
-        ladder_cfg.exec = shared.exec;
-        ladder_cfg.trace = trace;
-        ladder_cfg.fault.seed = ladder_cfg
-            .fault
-            .seed
-            .wrapping_add(job.id.wrapping_mul(0x9e37_79b9))
-            .wrapping_add(round as u64 * 64);
-
-        // Breaker-filtered stage list. Serial is the rung of last
-        // resort and is never gated — a batch must always be able to
-        // finish on the slowest correct backend.
-        let mut stages = Vec::with_capacity(ladder_cfg.stages.len());
-        let mut denied: Option<Backend> = None;
-        for &backend in &cfg.ladder.stages {
-            let admission = if backend == Backend::Serial {
-                Admission::Allow
-            } else {
-                shared.breakers.admit(backend)
-            };
-            match admission {
-                Admission::Allow => stages.push(backend),
-                Admission::Deny => denied = Some(backend),
-                Admission::Probe => {
-                    if backend == Backend::GpuSim {
-                        // Half-open: health-probe the simulated device
-                        // under the job's fault plan before trusting it
-                        // with real work.
-                        let mut device = Gpu::new(ladder_cfg.profile.clone());
-                        device.set_fault_plan(ladder_cfg.fault);
-                        device.set_watchdog(ladder_cfg.watchdog);
-                        match device.health_probe() {
-                            Ok(()) => stages.push(backend),
-                            Err(_) => {
-                                feed_breaker(shared, backend, false);
-                                denied = Some(backend);
-                            }
-                        }
-                    } else {
-                        // CPU backends have no cheap probe; the job
-                        // itself is the probe.
-                        stages.push(backend);
-                    }
-                }
-            }
-        }
-        ladder_cfg.stages = stages;
-
-        if ladder_cfg.stages.is_empty() {
-            // Every configured backend is gated. Only possible when the
-            // ladder was configured without a Serial rung.
-            last_error = EclError::CircuitOpen {
-                backend: denied.map(|b| b.name()).unwrap_or("all").to_string(),
-            };
-            attempts.push(AttemptReport {
-                round,
-                backend: "none".to_string(),
-                attempt: 0,
-                certified: false,
-                error: Some(ErrorReport::from_ecl(&last_error)),
-            });
-            continue;
-        }
-
-        let round_start = Instant::now();
-        let outcome = ladder::run_with_fallback(&graph, &ladder_cfg);
-
-        // Feed every ladder attempt back into the breakers and the
-        // audit trail.
-        let trail: &[ladder::StageAttempt] = match &outcome {
-            Ok(out) => &out.attempts,
-            Err(_) => &[],
-        };
-        for a in trail {
-            feed_breaker(
-                shared,
-                a.backend,
-                matches!(a.outcome, AttemptOutcome::Certified { .. }),
-            );
-            attempts.push(AttemptReport {
-                round,
-                backend: a.backend.name().to_string(),
-                attempt: a.attempt,
-                certified: matches!(a.outcome, AttemptOutcome::Certified { .. }),
-                error: match &a.outcome {
-                    AttemptOutcome::Failed { error } => Some(ErrorReport::from_ecl(error)),
-                    AttemptOutcome::Certified { .. } => None,
-                },
-            });
-        }
-
-        match outcome {
-            Ok(out) => {
-                let elapsed_ms = round_start.elapsed().as_millis() as u64;
-                if let Some(deadline) = cfg.deadline_ms {
-                    if elapsed_ms > deadline {
-                        last_error = EclError::Timeout {
-                            elapsed_ms,
-                            deadline_ms: deadline,
-                        };
-                        attempts.push(AttemptReport {
-                            round,
-                            backend: out.backend.name().to_string(),
-                            attempt: 0,
-                            certified: false,
-                            error: Some(ErrorReport::from_ecl(&last_error)),
-                        });
-                        continue;
-                    }
-                }
-                return finish_job(
-                    shared,
-                    job,
-                    &out.result.labels,
-                    out.backend.name(),
-                    out.certificate.num_components,
-                    round,
-                    attempts,
-                    t0,
-                );
-            }
-            Err(e) => {
-                // The ladder failed every stage; the failures were
-                // already fed to the breakers from the (absent) trail —
-                // recover them from the error's audit copy.
-                if let EclError::Exhausted { .. } = &e {
-                    // run_with_fallback returns no attempts on error, so
-                    // charge the breakers for the stages we offered.
-                    for &b in &ladder_cfg.stages {
-                        feed_breaker(shared, b, false);
-                    }
-                    attempts.push(AttemptReport {
-                        round,
-                        backend: ladder_cfg
-                            .stages
-                            .last()
-                            .map(|b| b.name())
-                            .unwrap_or("none")
-                            .to_string(),
-                        attempt: 0,
-                        certified: false,
-                        error: Some(ErrorReport::from_ecl(&e)),
-                    });
-                }
-                last_error = e;
-            }
+            let error = ErrorReport::from_ecl(&e);
+            Some(failed(job, out.rounds, out.attempts, error, ms(t0)))
         }
     }
-
-    Some(JobReport {
-        id: job.id,
-        name: job.name.clone(),
-        status: JobStatus::Failed,
-        backend: None,
-        components: None,
-        retries: cfg.retries,
-        attempts,
-        error: Some(ErrorReport::from_ecl(&last_error)),
-        time_ms: t0.elapsed().as_secs_f64() * 1e3,
-    })
 }
 
-/// The sharded fast path: when `shards_per_job > 1` the job bypasses the
-/// breaker-routed ladder — `ecl-shard` carries its own containment
-/// (retransmission, checkpoint recovery, and a degrade-to-ladder rung of
-/// last resort) — but keeps the engine's retry rounds, backoff, seed
-/// perturbation, and deadline. Certified results checkpoint through the
-/// same [`finish_job`] as ladder results, with backend `sharded:N` (or
-/// `sharded:N(degraded)` when the crash budget was exceeded mid-run);
-/// the journal digest covers label bytes only, so resume byte-identity
-/// holds across shard counts.
-fn process_job_sharded(
-    shared: &Shared<'_>,
+fn ms(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// The report of a job that ended without a certified result.
+fn failed(
     job: &JobSpec,
-    graph: &ecl_graph::CsrGraph,
-    t0: Instant,
-) -> Option<JobReport> {
-    let cfg = shared.cfg;
-    let mut attempts: Vec<AttemptReport> = Vec::new();
-    let mut last_error = EclError::Exhausted {
-        attempts: 0,
-        last: None,
-    };
-
-    for round in 0..=cfg.retries {
-        if round > 0 {
-            let delay = cfg.backoff.delay_ms(job.id, round);
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-            }
-        }
-        if shared.killed() {
-            return None;
-        }
-
-        let mut fault = cfg.ladder.fault;
-        fault.seed = fault
-            .seed
-            .wrapping_add(job.id.wrapping_mul(0x9e37_79b9))
-            .wrapping_add(round as u64 * 64);
-        let shard_cfg = ecl_shard::ShardConfig {
-            shards: cfg.shards_per_job,
-            // The degraded ladder keeps the default stages, attempts and
-            // an untraced context, whatever this engine's own ladder says.
-            ladder: LadderConfig {
-                cc: cfg.ladder.cc,
-                profile: cfg.ladder.profile.clone(),
-                fault,
-                watchdog: cfg.ladder.watchdog,
-                exec: shared.exec,
-                threads: cfg.ladder.threads,
-                recorder: shared.recorder().cloned(),
-                ..LadderConfig::default()
-            },
-            ..ecl_shard::ShardConfig::default()
-        };
-
-        let round_start = Instant::now();
-        match ecl_shard::run_sharded(graph, &shard_cfg) {
-            Ok(out) => {
-                let backend = if out.report.degraded {
-                    format!("sharded:{}(degraded)", cfg.shards_per_job)
-                } else {
-                    format!("sharded:{}", cfg.shards_per_job)
-                };
-                let elapsed_ms = round_start.elapsed().as_millis() as u64;
-                if let Some(deadline) = cfg.deadline_ms {
-                    if elapsed_ms > deadline {
-                        last_error = EclError::Timeout {
-                            elapsed_ms,
-                            deadline_ms: deadline,
-                        };
-                        attempts.push(AttemptReport {
-                            round,
-                            backend,
-                            attempt: 0,
-                            certified: false,
-                            error: Some(ErrorReport::from_ecl(&last_error)),
-                        });
-                        continue;
-                    }
-                }
-                attempts.push(AttemptReport {
-                    round,
-                    backend: backend.clone(),
-                    attempt: 0,
-                    certified: true,
-                    error: None,
-                });
-                return finish_job(
-                    shared,
-                    job,
-                    &out.result.labels,
-                    &backend,
-                    out.certificate.num_components,
-                    round,
-                    attempts,
-                    t0,
-                );
-            }
-            Err(e) => {
-                attempts.push(AttemptReport {
-                    round,
-                    backend: format!("sharded:{}", cfg.shards_per_job),
-                    attempt: 0,
-                    certified: false,
-                    error: Some(ErrorReport::from_ecl(&e)),
-                });
-                last_error = e;
-            }
-        }
-    }
-
-    Some(JobReport {
+    retries: u32,
+    attempts: Vec<AttemptReport>,
+    error: ErrorReport,
+    time_ms: f64,
+) -> JobReport {
+    JobReport {
         id: job.id,
         name: job.name.clone(),
         status: JobStatus::Failed,
         backend: None,
         components: None,
-        retries: cfg.retries,
+        retries,
         attempts,
-        error: Some(ErrorReport::from_ecl(&last_error)),
-        time_ms: t0.elapsed().as_secs_f64() * 1e3,
-    })
+        error: Some(error),
+        time_ms,
+    }
 }
 
 /// Persists and journals a certified result; flips the kill switch when
-/// the `kill_after_jobs` checkpoint count is reached. Takes the labels,
-/// backend tag, and component count directly so both the ladder path and
-/// the sharded path can checkpoint through the same code — the journal
-/// digest covers label bytes only, so a sharded run and a serial run of
-/// the same job resume interchangeably.
-#[allow(clippy::too_many_arguments)]
+/// the `kill_after_jobs` checkpoint count is reached. Ladder and sharded
+/// results checkpoint alike — the journal digest covers label bytes only,
+/// so a sharded run and a serial run of the same job resume
+/// interchangeably.
 fn finish_job(
     shared: &Shared<'_>,
     job: &JobSpec,
-    labels: &[u32],
-    backend: &str,
-    components: usize,
+    cert: Certified,
     retries: u32,
     attempts: Vec<AttemptReport>,
     t0: Instant,
 ) -> Option<JobReport> {
-    let bytes = labels_to_bytes(labels);
+    let bytes = labels_to_bytes(&cert.labels);
     let digest = journal::fnv1a(&bytes);
 
     if let Some(dir) = &shared.cfg.results_dir {
         if let Err(e) = journal::write_atomic(&journal::result_path(dir, job.id), &bytes) {
-            return Some(JobReport {
-                id: job.id,
-                name: job.name.clone(),
-                status: JobStatus::Failed,
-                backend: None,
-                components: None,
-                retries,
-                attempts,
-                error: Some(ErrorReport::input(format!("persisting result: {e}"))),
-                time_ms: t0.elapsed().as_secs_f64() * 1e3,
-            });
+            let error = ErrorReport::input(format!("persisting result: {e}"));
+            return Some(failed(job, retries, attempts, error, ms(t0)));
         }
     }
     if let Some(journal) = &shared.journal {
         let entry = JournalEntry {
             job_id: job.id,
-            backend: backend.to_string(),
-            components,
+            backend: cert.backend.clone(),
+            components: cert.components,
             retries,
             digest,
         };
         if let Err(e) = journal.lock().unwrap().record(&entry) {
-            return Some(JobReport {
-                id: job.id,
-                name: job.name.clone(),
-                status: JobStatus::Failed,
-                backend: None,
-                components: None,
-                retries,
-                attempts,
-                error: Some(ErrorReport::input(format!("journaling result: {e}"))),
-                time_ms: t0.elapsed().as_secs_f64() * 1e3,
-            });
+            let error = ErrorReport::input(format!("journaling result: {e}"));
+            return Some(failed(job, retries, attempts, error, ms(t0)));
         }
     }
 
@@ -839,11 +496,38 @@ fn finish_job(
         id: job.id,
         name: job.name.clone(),
         status: JobStatus::Done,
-        backend: Some(backend.to_string()),
-        components: Some(components),
+        backend: Some(cert.backend),
+        components: Some(cert.components),
         retries,
         attempts,
         error: None,
-        time_ms: t0.elapsed().as_secs_f64() * 1e3,
+        time_ms: ms(t0),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn budget_exec_mode_passes_explicit_modes_and_splits_auto() {
+        assert_eq!(budget_exec_mode(ExecMode::Serial, 4), ExecMode::Serial);
+        assert_eq!(
+            budget_exec_mode(ExecMode::HostParallel(3), 64),
+            ExecMode::HostParallel(3)
+        );
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            budget_exec_mode(ExecMode::HostParallel(0), 1),
+            ExecMode::HostParallel(cores)
+        );
+        // More workers than cores (or zero workers) never resolves below
+        // one SM thread, nor back to auto.
+        for workers in [0, 2, cores, cores * 4 + 1] {
+            match budget_exec_mode(ExecMode::HostParallel(0), workers) {
+                ExecMode::HostParallel(n) => assert!((1..=cores).contains(&n), "{workers}: {n}"),
+                other => panic!("{workers} workers resolved auto to {other:?}"),
+            }
+        }
+    }
 }

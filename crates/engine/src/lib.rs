@@ -25,6 +25,9 @@
 //!   plus write-temp-then-rename result files, so a killed batch resumes
 //!   from its last completed job and produces byte-identical results.
 //! * [`spec`] — jobs-file parsing and deterministic graph specs.
+//! * [`rounds`] — one job's certified retry rounds (backoff, fault-seed
+//!   perturbation, breaker-filtered ladder or sharded run, deadline),
+//!   shared by the batch engine and the server's `SUBMIT` workers.
 //! * [`engine`] — the worker pool tying it all together.
 //! * [`report`] — machine-readable batch report (hand-rolled JSON, like
 //!   the bench harness: the workspace builds offline and std-only).
@@ -38,10 +41,12 @@ pub mod engine;
 pub mod journal;
 pub mod queue;
 pub mod report;
+pub mod rounds;
 pub mod spec;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{Admission, BreakerConfig, BreakerState};
-pub use engine::{labels_to_bytes, run_batch, EngineConfig};
+pub use engine::{budget_exec_mode, labels_to_bytes, run_batch, EngineConfig};
 pub use report::{BatchReport, JobReport, JobStatus};
+pub use rounds::Rounds;
 pub use spec::{parse_jobs, GraphSpec, JobSpec};

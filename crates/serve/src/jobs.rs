@@ -3,21 +3,22 @@
 //! `SUBMIT` routes work onto the same building blocks the batch engine
 //! uses — the bounded MPMC [`BoundedQueue`] (admission control: a full
 //! queue rejects with `queue-full` instead of stalling the session),
-//! the per-backend [`BreakerSet`] (a dead GPU is skipped, probed back
-//! in via the simulator's health probe), the seeded [`BackoffPolicy`]
-//! between retry rounds, the deduplicating [`GraphStore`], and the
-//! certified fallback ladder. Nothing here is new fault-tolerance
-//! logic; it is the engine's worker loop reshaped for a long-lived
-//! server where jobs arrive one at a time and are polled by id.
+//! the deduplicating [`GraphStore`], and the engine's own retry loop,
+//! [`Rounds`]: seeded backoff between rounds, breaker-filtered ladder
+//! stages with a health probe in front of a half-open GPU, breaker
+//! feedback (trace instants, and a `breaker-open` flight dump on a
+//! trip), and the per-round deadline. What lives here is only what a
+//! long-lived server adds: jobs arrive one at a time and are polled by
+//! id, each job is one span in its `SUBMIT` request's trace tree, and a
+//! watchdog abort dumps the flight recorder.
 
 use crate::protocol::RequestError;
-use ecl_cc::ladder::{self, AttemptOutcome, Backend, LadderConfig};
+use ecl_cc::ladder::LadderConfig;
 use ecl_cc::EclError;
 use ecl_engine::breaker::BreakerSet;
 use ecl_engine::queue::{BoundedQueue, PushError};
 use ecl_engine::spec::{GraphSpec, GraphStore};
-use ecl_engine::{Admission, BackoffPolicy, BreakerConfig};
-use ecl_gpu_sim::Gpu;
+use ecl_engine::{budget_exec_mode, BackoffPolicy, BreakerConfig, Rounds};
 use ecl_obs::{FlightRecorder, Recorder, TraceCtx, TraceEvent, PID_ENGINE};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -36,7 +37,7 @@ pub enum JobStatus {
     /// Finished with a certified answer.
     Done {
         /// Backend whose answer passed certification.
-        backend: &'static str,
+        backend: String,
         /// Certified component count.
         components: usize,
         /// Wall-clock milliseconds from pop to certification.
@@ -81,15 +82,15 @@ struct QueuedJob {
 
 struct Shared {
     statuses: Mutex<HashMap<u64, JobStatus>>,
-    breakers: BreakerSet,
     store: GraphStore,
-    ladder: LadderConfig,
-    backoff: BackoffPolicy,
-    retries: u32,
-    deadline_ms: Option<u64>,
+    rounds: Rounds,
     recorder: Recorder,
-    flight: Option<FlightRecorder>,
-    flight_dir: Option<PathBuf>,
+}
+
+impl Shared {
+    fn set_status(&self, id: u64, status: JobStatus) {
+        self.statuses.lock().unwrap().insert(id, status);
+    }
 }
 
 /// Tuning for the job subsystem.
@@ -99,12 +100,10 @@ pub struct JobsConfig {
     pub workers: usize,
     /// Queue capacity — the admission-control bound.
     pub queue_capacity: usize,
-    /// Fallback-ladder configuration shared by all jobs.
+    /// Fallback-ladder configuration shared by all jobs. An auto
+    /// host-parallel exec mode (`HostParallel(0)`) is split between the
+    /// workers like the batch engine's.
     pub ladder: LadderConfig,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Retry rounds after the first (backoff-spaced).
-    pub retries: u32,
     /// Per-round deadline in milliseconds, if any.
     pub deadline_ms: Option<u64>,
 }
@@ -115,8 +114,6 @@ impl Default for JobsConfig {
             workers: 2,
             queue_capacity: 16,
             ladder: LadderConfig::default(),
-            breaker: BreakerConfig::default(),
-            retries: 1,
             deadline_ms: None,
         }
     }
@@ -146,17 +143,26 @@ impl JobRunner {
         flight_dir: Option<PathBuf>,
     ) -> JobRunner {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
+        let mut ladder = cfg.ladder;
+        ladder.exec = budget_exec_mode(ladder.exec, cfg.workers.max(1));
+        if recorder.is_enabled() {
+            ladder.recorder = Some(recorder.clone());
+        }
         let shared = Arc::new(Shared {
             statuses: Mutex::new(HashMap::new()),
-            breakers: BreakerSet::new(cfg.breaker),
             store: GraphStore::new(),
-            ladder: cfg.ladder,
-            backoff: BackoffPolicy::default(),
-            retries: cfg.retries,
-            deadline_ms: cfg.deadline_ms,
+            rounds: Rounds {
+                ladder,
+                shards: 1,
+                // One backoff-spaced retry round, default breaker tuning.
+                retries: 1,
+                backoff: BackoffPolicy::default(),
+                deadline_ms: cfg.deadline_ms,
+                breakers: BreakerSet::new(BreakerConfig::default()),
+                flight,
+                flight_dir,
+            },
             recorder,
-            flight,
-            flight_dir,
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -193,11 +199,7 @@ impl JobRunner {
     ) -> Result<u64, RequestError> {
         let spec = GraphSpec::parse(spec_str).map_err(|e| RequestError::new("bad-spec", e))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .statuses
-            .lock()
-            .unwrap()
-            .insert(id, JobStatus::Queued);
+        self.shared.set_status(id, JobStatus::Queued);
         match self.queue.try_push(QueuedJob { id, spec, trace }) {
             Ok(()) => Ok(id),
             Err(e) => {
@@ -233,32 +235,69 @@ impl JobRunner {
     }
 }
 
-/// One job through breaker-filtered, backoff-spaced, deadline-checked
-/// ladder rounds — the engine's retry loop in miniature. Wraps the
-/// rounds in a traced job span and checks the flight-recorder triggers
-/// (watchdog abort, breaker opening) afterwards.
+/// One job through the engine's retry rounds, wrapped in a traced job
+/// span; a watchdog abort in any round dumps the flight recorder.
 fn run_job(shared: &Shared, job: QueuedJob) {
-    shared
-        .statuses
-        .lock()
-        .unwrap()
-        .insert(job.id, JobStatus::Running);
+    shared.set_status(job.id, JobStatus::Running);
     // The job span is a child of the `SUBMIT` request's root span, and
     // the ladder/kernel spans below descend from the job span — one
     // connected tree per request.
     let job_ctx = job.trace.map(|t| t.child());
-    let t0 = shared.recorder.now_us();
-    let (status, watchdog) = run_job_rounds(shared, &job, job_ctx);
+    let span_start = shared.recorder.now_us();
+    // The job's wall time, on the batch engine's `JobReport::time_ms`
+    // clock: from pop (graph build included) to certification.
+    let t0 = Instant::now();
+    let status = match shared.store.get(&job.spec) {
+        Err(detail) => JobStatus::Failed {
+            kind: "bad-graph".to_string(),
+            detail,
+        },
+        Ok(graph) => {
+            let out = shared
+                .rounds
+                .run(job.id, &graph, job_ctx, || false)
+                .expect("a server job is never killed");
+            if out.hit_watchdog() {
+                if let Some(f) = &shared.rounds.flight {
+                    f.instant(
+                        "jobs",
+                        "watchdog-abort",
+                        &format!("job={} spec={:?}", job.id, job.spec),
+                    );
+                    if let Some(dir) = &shared.rounds.flight_dir {
+                        let _ = f.dump_to(dir, "watchdog-abort");
+                    }
+                }
+            }
+            match out.result {
+                Ok(cert) => JobStatus::Done {
+                    backend: cert.backend,
+                    components: cert.components,
+                    ms: t0.elapsed().as_millis() as u64,
+                },
+                Err(e) => JobStatus::Failed {
+                    kind: e.kind().to_string(),
+                    detail: e.to_string(),
+                },
+            }
+        }
+    };
     if shared.recorder.is_enabled() {
-        let dur = shared.recorder.now_us().saturating_sub(t0).max(1);
+        let dur = shared.recorder.now_us().saturating_sub(span_start).max(1);
         let kind = match &status {
-            JobStatus::Done { .. } => "done".to_string(),
-            JobStatus::Failed { kind, .. } => kind.clone(),
-            _ => "unknown".to_string(),
+            JobStatus::Failed { kind, .. } => kind,
+            _ => "done",
         };
-        let mut ev = TraceEvent::span(&format!("job:{}", job.id), "job", PID_ENGINE, 0, t0, dur)
-            .arg_u64("job_id", job.id)
-            .arg_str("status", &kind);
+        let mut ev = TraceEvent::span(
+            &format!("job:{}", job.id),
+            "job",
+            PID_ENGINE,
+            0,
+            span_start,
+            dur,
+        )
+        .arg_u64("job_id", job.id)
+        .arg_str("status", kind);
         if let Some(ctx) = &job_ctx {
             ev = ecl_obs::tag_span(ev, ctx, job.trace.map(|t| t.span_id));
         }
@@ -266,179 +305,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         // The same job counter the batch engine's worker loop keeps.
         shared.recorder.add_metric("engine.jobs", 1.0);
     }
-    if watchdog {
-        if let Some(f) = &shared.flight {
-            f.instant(
-                "jobs",
-                "watchdog-abort",
-                &format!("job={} spec={:?}", job.id, job.spec),
-            );
-            if let Some(dir) = &shared.flight_dir {
-                let _ = f.dump_to(dir, "watchdog-abort");
-            }
-        }
-    }
-    shared.statuses.lock().unwrap().insert(job.id, status);
-}
-
-/// The retry rounds themselves; returns the final status plus whether
-/// any attempt died to the simulated GPU's watchdog.
-fn run_job_rounds(
-    shared: &Shared,
-    job: &QueuedJob,
-    job_ctx: Option<TraceCtx>,
-) -> (JobStatus, bool) {
-    let mut watchdog = false;
-
-    let graph = match shared.store.get(&job.spec) {
-        Ok(g) => g,
-        Err(e) => {
-            return (
-                JobStatus::Failed {
-                    kind: "bad-graph".to_string(),
-                    detail: e,
-                },
-                watchdog,
-            );
-        }
-    };
-
-    let mut last_error = EclError::Exhausted {
-        attempts: 0,
-        last: None,
-    };
-    for round in 0..=shared.retries {
-        if round > 0 {
-            let delay = shared.backoff.delay_ms(job.id, round);
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-            }
-        }
-
-        let mut ladder_cfg = shared.ladder.clone();
-        ladder_cfg.fault.seed = ladder_cfg
-            .fault
-            .seed
-            .wrapping_add(job.id.wrapping_mul(0x9e37_79b9))
-            .wrapping_add(round as u64 * 64);
-        if shared.recorder.is_enabled() {
-            ladder_cfg.recorder = Some(shared.recorder.clone());
-        }
-        ladder_cfg.trace = job_ctx;
-
-        // A failure that trips a breaker open is a flight-recorder
-        // trigger: the dump captures the spans leading up to the trip.
-        let record_failure = |backend: Backend| {
-            let trips_before = shared.breakers.snapshot(backend).1;
-            shared.breakers.record_failure(backend);
-            let (state, trips, failures, _) = shared.breakers.snapshot(backend);
-            if trips > trips_before {
-                if let Some(f) = &shared.flight {
-                    f.instant(
-                        "jobs",
-                        "breaker-open",
-                        &format!(
-                            "backend={} state={} trips={trips} failures={failures}",
-                            backend.name(),
-                            state.name()
-                        ),
-                    );
-                    if let Some(dir) = &shared.flight_dir {
-                        let _ = f.dump_to(dir, "breaker-open");
-                    }
-                }
-            }
-        };
-
-        // Breaker-filtered stages; Serial is never gated.
-        let mut stages = Vec::with_capacity(ladder_cfg.stages.len());
-        for &backend in &shared.ladder.stages {
-            let admission = if backend == Backend::Serial {
-                Admission::Allow
-            } else {
-                shared.breakers.admit(backend)
-            };
-            match admission {
-                Admission::Allow => stages.push(backend),
-                Admission::Deny => {}
-                Admission::Probe => {
-                    if backend == Backend::GpuSim {
-                        let mut device = Gpu::new(ladder_cfg.profile.clone());
-                        device.set_fault_plan(ladder_cfg.fault);
-                        device.set_watchdog(ladder_cfg.watchdog);
-                        match device.health_probe() {
-                            Ok(()) => stages.push(backend),
-                            Err(_) => record_failure(backend),
-                        }
-                    } else {
-                        stages.push(backend);
-                    }
-                }
-            }
-        }
-        if stages.is_empty() {
-            last_error = EclError::CircuitOpen {
-                backend: "all".to_string(),
-            };
-            continue;
-        }
-        ladder_cfg.stages = stages;
-
-        let round_start = Instant::now();
-        let outcome = ladder::run_with_fallback(&graph, &ladder_cfg);
-        if let Ok(out) = &outcome {
-            for a in &out.attempts {
-                if let AttemptOutcome::Failed { error } = &a.outcome {
-                    if error.kind() == "sim-watchdog" || error.watchdog_cycles().is_some() {
-                        watchdog = true;
-                    }
-                }
-                let ok = matches!(a.outcome, AttemptOutcome::Certified { .. });
-                if a.backend != Backend::Serial {
-                    if ok {
-                        shared.breakers.record_success(a.backend);
-                    } else {
-                        record_failure(a.backend);
-                    }
-                }
-            }
-        }
-        match outcome {
-            Ok(out) => {
-                let elapsed_ms = round_start.elapsed().as_millis() as u64;
-                if let Some(deadline) = shared.deadline_ms {
-                    if elapsed_ms > deadline {
-                        last_error = EclError::Timeout {
-                            elapsed_ms,
-                            deadline_ms: deadline,
-                        };
-                        continue;
-                    }
-                }
-                return (
-                    JobStatus::Done {
-                        backend: out.backend.name(),
-                        components: out.certificate.num_components,
-                        ms: elapsed_ms,
-                    },
-                    watchdog,
-                );
-            }
-            Err(e) => {
-                if e.kind() == "sim-watchdog" || e.watchdog_cycles().is_some() {
-                    watchdog = true;
-                }
-                last_error = e;
-            }
-        }
-    }
-    (
-        JobStatus::Failed {
-            kind: last_error.kind().to_string(),
-            detail: last_error.to_string(),
-        },
-        watchdog,
-    )
+    shared.set_status(job.id, status);
 }
 
 #[cfg(test)]
@@ -508,5 +375,46 @@ mod tests {
             other => panic!("expected done after drain, got {other:?}"),
         }
         assert_eq!(runner.submit("path:10").unwrap_err().kind, "draining");
+    }
+
+    #[test]
+    fn dead_gpu_jobs_finish_on_cpu_and_dump_a_postmortem() {
+        let dir =
+            std::env::temp_dir().join(format!("ecl_serve_jobs_flight_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = JobRunner::start_with(
+            JobsConfig {
+                workers: 1,
+                ladder: LadderConfig {
+                    watchdog: Some(1),
+                    ..LadderConfig::default()
+                },
+                ..JobsConfig::default()
+            },
+            Recorder::disabled(),
+            Some(FlightRecorder::default()),
+            Some(dir.clone()),
+        );
+        let ids = [
+            runner.submit("gnm:2000:6000:1").unwrap(),
+            runner.submit("cycle:500").unwrap(),
+        ];
+        for id in ids {
+            match wait_done(&runner, id) {
+                JobStatus::Done { backend, .. } => {
+                    assert!(matches!(&*backend, "parallel-cpu" | "serial"), "{backend}")
+                }
+                other => panic!("expected done, got {other:?}"),
+            }
+        }
+        runner.shutdown();
+        let doc = std::fs::read_to_string(dir.join("postmortem.json")).unwrap();
+        let summary = ecl_obs::validate_postmortem(&doc).unwrap();
+        assert!(
+            matches!(summary.reason.as_str(), "breaker-open" | "watchdog-abort"),
+            "{}",
+            summary.reason
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,7 +2,8 @@
 //! determinism, and breaker-mediated completion with a dead GPU.
 
 use ecl_cc::ladder::Backend;
-use ecl_engine::{parse_jobs, run_batch, BreakerConfig, EngineConfig, JobSpec};
+use ecl_cc::LadderConfig;
+use ecl_engine::{parse_jobs, run_batch, BreakerConfig, EngineConfig, JobSpec, JobStatus};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -257,6 +258,35 @@ fn breaker_recovers_after_fault_clears() {
             .all(|j| j.backend.as_deref() == Some(Backend::GpuSim.name())),
         "healthy GPU not used: {report:?}"
     );
+}
+
+/// A per-round deadline no run can meet: each round's certified answer
+/// arrives late and is discarded, so the job fails `timeout` after
+/// `retries + 1` rounds, each leaving one timeout attempt in the trail.
+#[test]
+fn missed_deadline_fails_every_round_with_timeout() {
+    let jobs = parse_jobs("big gnm:200000:600000:1\n").unwrap();
+    let cfg = EngineConfig {
+        workers: 1,
+        deadline_ms: Some(0),
+        ladder: LadderConfig {
+            stages: vec![Backend::Serial],
+            ..LadderConfig::default()
+        },
+        ..EngineConfig::default()
+    };
+    let report = run_batch(&jobs, &cfg).unwrap();
+    let job = &report.jobs[0];
+    assert_eq!(job.status, JobStatus::Failed, "{job:?}");
+    assert_eq!(job.error.as_ref().unwrap().kind, "timeout");
+    assert_eq!(job.retries, cfg.retries);
+    let timeouts: Vec<u32> = job
+        .attempts
+        .iter()
+        .filter(|a| a.error.as_ref().is_some_and(|e| e.kind == "timeout"))
+        .map(|a| a.round)
+        .collect();
+    assert_eq!(timeouts, (0..=cfg.retries).collect::<Vec<_>>());
 }
 
 /// Admission control: a queue of capacity 1 with rejection enabled and a
