@@ -120,6 +120,24 @@ grep -q "unknown flag '--sched' for components" "$BATCH_DIR/flag.err" \
     || { echo "--sched static: missing unknown-flag error"; exit 1; }
 echo "    --sched static rejected (exit 1)"
 
+echo "==> union-find clients"
+# Clients of the one union-find: `compare` runs every CC algorithm (the
+# `unionfind` baseline among them) and exits 0 only if all agree with
+# serial; the spanning-forest example cross-checks Kruskal, Borůvka and
+# GPU Borůvka. And an edge list we wrote must keep its declared vertex
+# count (isolated trailing vertices included) when read back.
+for G in europe_osm rmat16.sym; do
+    "$ECL" generate "$G" -o "$BATCH_DIR/uf.ecl" --scale tiny > /dev/null
+    "$ECL" compare "$BATCH_DIR/uf.ecl" > "$BATCH_DIR/compare.out" \
+        || { echo "compare disagrees on $G"; cat "$BATCH_DIR/compare.out"; exit 1; }
+done
+./target/release/minimum_spanning_forest --grid 30 > /dev/null \
+    || { echo "minimum_spanning_forest --grid 30 failed"; exit 1; }
+"$ECL" generate rmat16.sym -o "$BATCH_DIR/uf.el" --scale tiny > /dev/null
+"$ECL" stats "$BATCH_DIR/uf.el" | grep -q '^vertices: *2048$' \
+    || { echo "edge list lost vertices on read-back"; "$ECL" stats "$BATCH_DIR/uf.el"; exit 1; }
+echo "    compare agrees on both graphs; spanning forests agree; edge list keeps 2048 vertices"
+
 echo "==> execution-mode equivalence suite"
 # The golden determinism contract: serial cycle counts and per-level
 # cache stats pinned bit-for-bit, host-parallel labels byte-identical to

@@ -22,9 +22,7 @@ pub fn run(g: &CsrGraph, threads: usize) -> CcResult {
             for &u in g.neighbors(v) {
                 if v > u {
                     // Restricted pointer jumping: path halving inside find.
-                    let ru = parents.find_repres(u);
-                    let rv = parents.find_repres(v);
-                    parents.hook(ru, rv);
+                    parents.unite(u, v);
                 }
             }
         });

@@ -3,7 +3,8 @@
 
 use ecl_cc::CcResult;
 use ecl_graph::{CsrGraph, Vertex};
-use ecl_unionfind::{Compression, DisjointSets};
+use ecl_unionfind::{JumpKind, ParentStore};
+use std::cell::Cell;
 
 const UNSET: u32 = u32::MAX;
 
@@ -120,18 +121,20 @@ pub fn igraph_cc(g: &CsrGraph) -> CcResult {
 }
 
 /// Galois-serial-style CC: one pass of union-find over the edges (each
-/// undirected edge once) with full path compression, then a flatten.
+/// undirected edge once) with full path compression (Jump1), then a
+/// flatten.
 pub fn unionfind_cc(g: &CsrGraph) -> CcResult {
-    let n = g.num_vertices();
-    let mut ds = DisjointSets::with_compression(n, Compression::Full);
+    let mut parent: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let ds = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
     for v in g.vertices() {
         for &u in g.neighbors(v) {
             if v > u {
-                ds.union(v, u);
+                ds.unite_with(v, u, JumpKind::Multiple);
             }
         }
     }
-    CcResult::new(ds.flatten().to_vec())
+    ds.flatten();
+    CcResult::new(parent)
 }
 
 #[cfg(test)]

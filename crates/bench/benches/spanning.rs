@@ -3,29 +3,30 @@
 //! algorithms that are based on union find, such as Kruskal's algorithm").
 //!
 //! Two sweeps test that prediction directly:
-//! * Kruskal with each sequential compression strategy,
+//! * Kruskal with each pointer-jumping variant inside its finds,
 //! * GPU Borůvka with each pointer-jumping variant inside its finds.
 
 use ecl_bench::microbench::Group;
 use ecl_gpu_sim::{DeviceProfile, Gpu};
 use ecl_graph::catalog::{PaperGraph, Scale};
-use ecl_unionfind::concurrent::JumpKind;
-use ecl_unionfind::Compression;
+use ecl_unionfind::JumpKind;
 use std::hint::black_box;
 
-fn bench_kruskal_compression() {
-    let group = Group::new("kruskal_compression");
+const JUMPS: [(&str, JumpKind); 4] = [
+    ("jump1_multiple", JumpKind::Multiple),
+    ("jump2_single", JumpKind::Single),
+    ("jump3_none", JumpKind::None),
+    ("jump4_intermediate", JumpKind::Intermediate),
+];
+
+fn bench_kruskal_jumps() {
+    let group = Group::new("kruskal_jump");
     for pg in [PaperGraph::EuropeOsm, PaperGraph::Rmat16] {
         let g = pg.generate(Scale::Tiny);
         let name = pg.info().name;
-        for (vname, comp) in [
-            ("none", Compression::None),
-            ("full", Compression::Full),
-            ("halving", Compression::Halving),
-            ("splitting", Compression::Splitting),
-        ] {
+        for (vname, jump) in JUMPS {
             group.bench(&format!("{vname}/{name}"), || {
-                black_box(ecl_spanning::kruskal::run(&g, comp));
+                black_box(ecl_spanning::kruskal::run(&g, jump));
             });
         }
     }
@@ -34,12 +35,7 @@ fn bench_kruskal_compression() {
 fn bench_gpu_boruvka_jumps() {
     let group = Group::new("gpu_boruvka_jump");
     let g = PaperGraph::EuropeOsm.generate(Scale::Tiny);
-    for (vname, jump) in [
-        ("jump1_multiple", JumpKind::Multiple),
-        ("jump2_single", JumpKind::Single),
-        ("jump3_none", JumpKind::None),
-        ("jump4_intermediate", JumpKind::Intermediate),
-    ] {
+    for (vname, jump) in JUMPS {
         group.bench(vname, || {
             let mut gpu = Gpu::new(DeviceProfile::titan_x());
             black_box(ecl_spanning::gpu_boruvka::run(&mut gpu, &g, jump));
@@ -50,8 +46,8 @@ fn bench_gpu_boruvka_jumps() {
 fn bench_boruvka_vs_kruskal() {
     let group = Group::new("msf_algorithms");
     let g = PaperGraph::Random4.generate(Scale::Tiny);
-    group.bench("kruskal_halving", || {
-        black_box(ecl_spanning::kruskal::run(&g, Compression::Halving));
+    group.bench("kruskal_intermediate", || {
+        black_box(ecl_spanning::kruskal::run(&g, JumpKind::Intermediate));
     });
     group.bench("boruvka_par4", || {
         black_box(ecl_spanning::boruvka::run(&g, 4));
@@ -59,7 +55,7 @@ fn bench_boruvka_vs_kruskal() {
 }
 
 fn main() {
-    bench_kruskal_compression();
+    bench_kruskal_jumps();
     bench_gpu_boruvka_jumps();
     bench_boruvka_vs_kruskal();
 }

@@ -64,16 +64,6 @@ pub fn quick_graphs(scale: Scale) -> Vec<(&'static str, CsrGraph)> {
     .collect()
 }
 
-/// Renders one row of a fixed-width table.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
 /// Prints a table: header + separator + rows, first column left-aligned.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n### {title}\n");

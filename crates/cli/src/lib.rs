@@ -224,33 +224,11 @@ pub fn run_algorithm_cfg(
 /// multicore CPU → serial), certifying each stage's output before
 /// acceptance. `watchdog` is the optional per-kernel cycle budget for the
 /// GPU stage; `fault` is installed on the simulated device (use
-/// [`FaultPlan::none`] for a healthy run).
-pub fn run_ladder(
-    g: &CsrGraph,
-    threads: usize,
-    watchdog: Option<u64>,
-    fault: FaultPlan,
-) -> Result<ecl_cc::LadderOutcome, String> {
-    run_ladder_ex(g, threads, watchdog, fault, ExecMode::Serial)
-}
-
-/// [`run_ladder`] with an explicit GPU-stage execution mode.
-pub fn run_ladder_ex(
-    g: &CsrGraph,
-    threads: usize,
-    watchdog: Option<u64>,
-    fault: FaultPlan,
-    exec: ExecMode,
-) -> Result<ecl_cc::LadderOutcome, String> {
-    run_ladder_obs(g, threads, watchdog, fault, exec, None, None)
-}
-
-/// [`run_ladder_ex`] with an optional observability recorder and
-/// adaptive-sampling configuration: the ladder emits one wall-clock span
-/// per attempt, forwards the recorder to the simulated GPU for kernel
-/// spans, and with `sampling` set tries the adaptive pipeline on every
-/// rung first, re-walking the ladder without sampling only if the whole
-/// adaptive pass fails certification.
+/// [`FaultPlan::none`] for a healthy run). The ladder emits one
+/// wall-clock span per attempt to `recorder` and forwards it to the
+/// simulated GPU for kernel spans; with `sampling` set it tries the
+/// adaptive pipeline on every rung first, re-walking the ladder without
+/// sampling only if the whole adaptive pass fails certification.
 pub fn run_ladder_obs(
     g: &CsrGraph,
     threads: usize,
@@ -313,19 +291,6 @@ pub fn run_sharded_obs(
         ..ecl_shard::ShardConfig::default()
     };
     ecl_shard::run_sharded(g, &cfg).map_err(|e| e.to_string())
-}
-
-/// Runs ECL-CC on the simulated GPU alone — no fallback — with the given
-/// fault plan and optional watchdog installed. Structured errors (kernel
-/// name, cycle counts) are flattened to a message here because the CLI is
-/// about to print them; `batch` keeps the structure.
-pub fn run_gpu_with_fault(
-    g: &CsrGraph,
-    fault: FaultPlan,
-    watchdog: Option<u64>,
-    exec: ExecMode,
-) -> Result<CcResult, String> {
-    run_gpu_observed(g, fault, watchdog, exec, false, None, None).map(|(r, _)| r)
 }
 
 /// Runs ECL-CC on the simulated GPU and returns the run statistics
@@ -483,7 +448,8 @@ mod tests {
     #[test]
     fn ladder_from_cli_certifies() {
         let g = ecl_graph::generate::disjoint_cliques(3, 5);
-        let out = run_ladder(&g, 2, None, FaultPlan::none()).unwrap();
+        let out =
+            run_ladder_obs(&g, 2, None, FaultPlan::none(), ExecMode::Serial, None, None).unwrap();
         assert_eq!(out.certificate.num_components, 3);
     }
 

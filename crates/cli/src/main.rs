@@ -668,6 +668,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 ALGORITHMS.len()
             );
             let reference = run_algorithm("serial", &g, threads)?;
+            let mut disagree = Vec::new();
             for &name in ALGORITHMS {
                 let t = Instant::now();
                 match run_algorithm(name, &g, threads) {
@@ -680,11 +681,23 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                             r.num_components(),
                             if agree { "agrees" } else { "DISAGREES" }
                         );
+                        if !agree {
+                            disagree.push(name);
+                        }
                     }
                     Err(e) => println!("  {name:<11} n/a ({e})"),
                 }
             }
-            Ok(())
+            if disagree.is_empty() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{} of {} algorithms disagree with serial: {}",
+                    disagree.len(),
+                    ALGORITHMS.len(),
+                    disagree.join(", ")
+                ))
+            }
         }
         "list" => {
             println!("algorithms: {}", ALGORITHMS.join(", "));

@@ -410,7 +410,7 @@ fn sample_hook(
                 let u = w.load(d.nlist, &i, e);
                 probe(&paths, w, d.parent, &u, e);
                 let u_rep = warp_find(w, d.parent, &u, e, jump);
-                let merged = warp_hook(w, d.parent, &u_rep, &v_rep, e);
+                let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, e);
                 v_rep.assign_masked(&merged, e);
                 i = i.add_scalar(1);
                 e &= i.lt(&stop);
@@ -489,7 +489,7 @@ fn hook_route(
                         if proc.any() {
                             probe(&paths, w, d.parent, &u, proc);
                             let u_rep = warp_find(w, d.parent, &u, proc, jump);
-                            let merged = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
+                            let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                             v_rep.assign_masked(&merged, proc);
                         }
                         i = i.add_scalar(1);
@@ -535,7 +535,7 @@ fn compute2(
                 if proc.any() {
                     probe(&paths, w, d.parent, &u, proc);
                     let u_rep = warp_find(w, d.parent, &u, proc, jump);
-                    let merged = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
+                    let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                     v_rep.assign_masked(&merged, proc);
                 }
                 base += LANES as u32;
@@ -584,7 +584,7 @@ fn compute3(
                     if proc.any() {
                         probe(&paths, w, d.parent, &u, proc);
                         let u_rep = warp_find(w, d.parent, &u, proc, jump);
-                        let merged = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
+                        let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                         v_rep.assign_masked(&merged, proc);
                     }
                     base += tpb;
@@ -705,12 +705,7 @@ mod tests {
         ] {
             check(&g, &EclConfig::with_init(init));
         }
-        for jump in [
-            JumpKind::Multiple,
-            JumpKind::Single,
-            JumpKind::None,
-            JumpKind::Intermediate,
-        ] {
+        for jump in JumpKind::ALL {
             check(&g, &EclConfig::with_jump(jump));
         }
         for fini in [FiniKind::Intermediate, FiniKind::Multiple, FiniKind::Single] {

@@ -87,42 +87,12 @@ pub fn warp_walk(w: &mut WarpCtx, parent: DevicePtr, v: &Lanes, mask: Mask) -> L
 
 /// The paper's Fig. 6 hooking in warp-vector form: each active lane links
 /// the larger of its two representatives under the smaller with a CAS
-/// retry loop. Returns the merged representative per lane.
+/// retry loop. Returns the merged representative per lane and the mask of
+/// lanes whose own CAS performed a link. Because parent links always
+/// point to strictly smaller IDs, each successful CAS provably merges two
+/// distinct components — spanning-forest kernels use the mask to claim
+/// edges (exactly one claimant per merge, even under weight ties).
 pub fn warp_hook(
-    w: &mut WarpCtx,
-    parent: DevicePtr,
-    u_rep_in: &Lanes,
-    v_rep_in: &Lanes,
-    mask: Mask,
-) -> Lanes {
-    let mut u_rep = *u_rep_in;
-    let mut v_rep = *v_rep_in;
-    let mut repeat = mask & u_rep.ne_mask(&v_rep);
-    while repeat.any() {
-        let v_less = repeat & v_rep.lt(&u_rep);
-        let u_less = repeat & !v_less;
-        // if (v_rep < u_rep) atomicCAS(&parent[u_rep], u_rep, v_rep)
-        let ret1 = w.atomic_cas(parent, &u_rep, &u_rep, &v_rep, v_less);
-        let fail1 = v_less & ret1.ne_mask(&u_rep);
-        u_rep.assign_masked(&ret1, fail1);
-        // else atomicCAS(&parent[v_rep], v_rep, u_rep)
-        let ret2 = w.atomic_cas(parent, &v_rep, &v_rep, &u_rep, u_less);
-        let fail2 = u_less & ret2.ne_mask(&v_rep);
-        v_rep.assign_masked(&ret2, fail2);
-        repeat = (fail1 | fail2) & u_rep.ne_mask(&v_rep);
-        w.alu(4);
-    }
-    // Merged representative: the smaller of the two (equal where hooked).
-    let merged = u_rep.min_lanes(&v_rep);
-    merged.select(&Lanes::default(), mask)
-}
-
-/// Like [`warp_hook`], but also returns the mask of lanes whose own CAS
-/// performed a link. Because parent links always point to strictly
-/// smaller IDs, each successful CAS provably merges two distinct
-/// components — spanning-forest kernels use the mask to claim edges
-/// (exactly one claimant per merge, even under weight ties).
-pub fn warp_hook_linked(
     w: &mut WarpCtx,
     parent: DevicePtr,
     u_rep_in: &Lanes,
@@ -136,19 +106,19 @@ pub fn warp_hook_linked(
     while repeat.any() {
         let v_less = repeat & v_rep.lt(&u_rep);
         let u_less = repeat & !v_less;
+        // if (v_rep < u_rep) atomicCAS(&parent[u_rep], u_rep, v_rep)
         let ret1 = w.atomic_cas(parent, &u_rep, &u_rep, &v_rep, v_less);
-        let ok1 = v_less & ret1.eq_mask(&u_rep);
-        linked |= ok1;
-        let fail1 = v_less & !ok1;
+        let fail1 = v_less & ret1.ne_mask(&u_rep);
         u_rep.assign_masked(&ret1, fail1);
+        // else atomicCAS(&parent[v_rep], v_rep, u_rep)
         let ret2 = w.atomic_cas(parent, &v_rep, &v_rep, &u_rep, u_less);
-        let ok2 = u_less & ret2.eq_mask(&v_rep);
-        linked |= ok2;
-        let fail2 = u_less & !ok2;
+        let fail2 = u_less & ret2.ne_mask(&v_rep);
         v_rep.assign_masked(&ret2, fail2);
+        linked |= (v_less & !fail1) | (u_less & !fail2);
         repeat = (fail1 | fail2) & u_rep.ne_mask(&v_rep);
         w.alu(4);
     }
+    // Merged representative: the smaller of the two (equal where hooked).
     let merged = u_rep.min_lanes(&v_rep);
     (merged.select(&Lanes::default(), mask), linked)
 }
@@ -249,8 +219,9 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::test_tiny());
         let p = gpu.alloc_from(&(0..8u32).collect::<Vec<_>>());
         gpu.launch_warps("t", 32, |w| {
-            let merged = warp_hook(w, p, &Lanes::splat(6), &Lanes::splat(2), Mask(1));
+            let (merged, linked) = warp_hook(w, p, &Lanes::splat(6), &Lanes::splat(2), Mask(1));
             assert_eq!(merged.get(0), 2);
+            assert_eq!(linked, Mask(1));
         });
         assert_eq!(gpu.download(p)[6], 2);
     }

@@ -60,14 +60,10 @@ impl IncrementalCc {
                 return Err(EclError::InvalidVertex { vertex: p, len: n });
             }
         }
-        let roots = parents
-            .iter()
-            .enumerate()
-            .filter(|&(v, &p)| p as usize == v)
-            .count();
+        let parents = AtomicParents::from_vec(parents);
         Ok(IncrementalCc {
-            parents: AtomicParents::from_vec(parents),
-            links: AtomicU64::new((n - roots) as u64),
+            links: AtomicU64::new((n - parents.count_sets()) as u64),
+            parents,
         })
     }
 
@@ -87,9 +83,7 @@ impl IncrementalCc {
     /// Idempotent: re-inserting an edge (or any edge within one
     /// component) returns `false` and changes nothing.
     pub fn add_edge(&self, u: Vertex, v: Vertex) -> bool {
-        let ru = self.parents.find_repres(u);
-        let rv = self.parents.find_repres(v);
-        let (_, linked) = self.parents.hook_linked(ru, rv);
+        let linked = self.parents.unite(u, v);
         if linked {
             self.links.fetch_add(1, Ordering::Relaxed);
         }
@@ -177,10 +171,7 @@ impl IncrementalCc {
 
     /// Freezes the structure into a final labeling (flattens every path).
     pub fn finish(self) -> CcResult {
-        for v in 0..self.parents.len() as Vertex {
-            let root = self.parents.find_naive(v);
-            self.parents.set(v, root);
-        }
+        self.parents.flatten();
         CcResult::new(self.parents.snapshot())
     }
 }

@@ -12,7 +12,7 @@ use crate::result::CcResult;
 use crate::sampling::SampleStats;
 use ecl_graph::{CsrGraph, Vertex};
 use ecl_parallel::{parallel_for, Schedule};
-use ecl_unionfind::AtomicParents;
+use ecl_unionfind::{AtomicParents, ParentStore};
 use std::sync::atomic::Ordering;
 
 /// Runs parallel ECL-CC with `threads` workers under `cfg` (with
@@ -158,12 +158,7 @@ mod tests {
         ] {
             check(&g, 4, &EclConfig::with_init(init));
         }
-        for jump in [
-            JumpKind::Multiple,
-            JumpKind::Single,
-            JumpKind::None,
-            JumpKind::Intermediate,
-        ] {
+        for jump in JumpKind::ALL {
             check(&g, 4, &EclConfig::with_jump(jump));
         }
         for fini in [FiniKind::Intermediate, FiniKind::Multiple, FiniKind::Single] {

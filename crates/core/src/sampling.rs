@@ -287,12 +287,7 @@ mod tests {
             let (r, _) = run_serial(&g, &cfg);
             assert_eq!(r.labels, crate::serial::run(&g, &plain).labels, "{init:?}");
         }
-        for jump in [
-            JumpKind::Multiple,
-            JumpKind::Single,
-            JumpKind::None,
-            JumpKind::Intermediate,
-        ] {
+        for jump in JumpKind::ALL {
             let cfg = EclConfig {
                 sampling: Some(SamplingConfig::with_k(2)),
                 ..EclConfig::with_jump(jump)
@@ -315,12 +310,7 @@ mod tests {
                 InitKind::MinNeighbor,
                 InitKind::FirstSmaller,
             ] {
-                for jump in [
-                    JumpKind::Multiple,
-                    JumpKind::Single,
-                    JumpKind::None,
-                    JumpKind::Intermediate,
-                ] {
+                for jump in JumpKind::ALL {
                     for fini in [FiniKind::Intermediate, FiniKind::Multiple, FiniKind::Single] {
                         for sampling in [None, Some(1), Some(2)] {
                             let cfg = EclConfig {

@@ -98,12 +98,7 @@ mod tests {
     #[test]
     fn all_jump_variants_agree() {
         let g = generate::rmat(9, 6, generate::RmatParams::GALOIS, 3);
-        for jump in [
-            JumpKind::Multiple,
-            JumpKind::Single,
-            JumpKind::None,
-            JumpKind::Intermediate,
-        ] {
+        for jump in JumpKind::ALL {
             check(&g, &EclConfig::with_jump(jump));
         }
     }

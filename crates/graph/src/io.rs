@@ -57,8 +57,8 @@ fn capped(declared: usize) -> usize {
 /// offset array even when no arc ever references those vertices, so a
 /// 20-byte file claiming 4 billion vertices would allocate tens of GB.
 /// The binary formats are self-limiting (a lying header trips the
-/// truncation check first); for DIMACS and Matrix Market we refuse
-/// declarations past this bound — 2^28 ≈ 268M vertices, ~5× the largest
+/// truncation check first); for DIMACS, Matrix Market and the edge-list
+/// header we refuse declarations past this bound — 2^28 ≈ 268M vertices, ~5× the largest
 /// graph in the paper's evaluation.
 const MAX_DECLARED_VERTICES: usize = 1 << 28;
 
@@ -75,13 +75,31 @@ fn check_declared_vertices(n: usize, what: &str) -> Result<(), IoError> {
     Ok(())
 }
 
+/// The first line [`write_edge_list`] writes: `# ecl-graph edge list: N
+/// vertices`. It carries the vertex count, so isolated trailing vertices
+/// survive a round-trip.
+const EDGE_LIST_HEADER: (&str, &str) = ("# ecl-graph edge list: ", " vertices");
+
 /// Reads a whitespace-separated edge list (SNAP style): one `u v` pair per
-/// line, `#`-prefixed comment lines ignored. Vertex IDs are used as-is.
+/// line, `#`-prefixed comment lines ignored. Vertex IDs are used as-is. A
+/// first line in [`write_edge_list`]'s header form declares the vertex
+/// count; an edge past it is rejected, as in [`read_dimacs`].
 pub fn read_edge_list(r: impl Read) -> Result<CsrGraph, IoError> {
     let mut b = GraphBuilder::new(0);
+    let mut declared_n = usize::MAX;
     for (lineno, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
         let t = line.trim();
+        let (prefix, suffix) = EDGE_LIST_HEADER;
+        let header = t.strip_prefix(prefix).and_then(|r| r.strip_suffix(suffix));
+        if let (0, Some(n)) = (lineno, header) {
+            let n = n
+                .parse()
+                .map_err(|e| parse_err(format!("line 1: vertex count: {e}")))?;
+            check_declared_vertices(n, "vertex count")?;
+            declared_n = n;
+            b.ensure_vertices(n);
+        }
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
             continue;
         }
@@ -96,14 +114,22 @@ pub fn read_edge_list(r: impl Read) -> Result<CsrGraph, IoError> {
             .ok_or_else(|| parse_err(format!("line {}: missing target", lineno + 1)))?
             .parse()
             .map_err(|e| parse_err(format!("line {}: {e}", lineno + 1)))?;
+        if u.max(v) as usize >= declared_n {
+            return Err(parse_err(format!(
+                "line {}: edge endpoint exceeds declared vertex count {declared_n}",
+                lineno + 1
+            )));
+        }
         b.add_edge(u, v);
     }
     Ok(b.build())
 }
 
-/// Writes the graph as an edge list, each undirected edge once (`u < v`).
+/// Writes the graph as an edge list, each undirected edge once (`u < v`),
+/// after a header line that declares the vertex count.
 pub fn write_edge_list(g: &CsrGraph, mut w: impl Write) -> io::Result<()> {
-    writeln!(w, "# ecl-graph edge list: {} vertices", g.num_vertices())?;
+    let (prefix, suffix) = EDGE_LIST_HEADER;
+    writeln!(w, "{prefix}{}{suffix}", g.num_vertices())?;
     for (u, v) in g.edges() {
         writeln!(w, "{u} {v}")?;
     }
@@ -404,11 +430,29 @@ mod tests {
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
         let g2 = read_edge_list(&buf[..]).unwrap();
-        // Isolated trailing vertices are lost in edge-list form; compare
-        // edges only.
-        let e1: Vec<_> = g.edges().collect();
-        let e2: Vec<_> = g2.edges().collect();
-        assert_eq!(e1, e2);
+        assert_eq!(g, g2);
+        // The header keeps isolated trailing vertices.
+        let g = GraphBuilder::new(9).build();
+        let mut buf = Vec::new();
+        write_edge_list(&g, &mut buf).unwrap();
+        assert_eq!(read_edge_list(&buf[..]).unwrap(), g);
+    }
+
+    #[test]
+    fn edge_list_header_bounds_edges() {
+        let hdr = "# ecl-graph edge list: 3 vertices\n";
+        let e = read_edge_list(format!("{hdr}0 3\n").as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("line 2"), "{e}");
+        let e = read_edge_list("# ecl-graph edge list: 4294967296 vertices\n".as_bytes());
+        assert!(matches!(e, Err(IoError::Parse(_))));
+        // Only a first-line header declares; a later one is a comment.
+        let g = read_edge_list(format!("0 1\n{hdr}").as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), 2);
+        // Files without the header read as before.
+        assert_eq!(
+            read_edge_list("0 5\n".as_bytes()).unwrap().num_vertices(),
+            6
+        );
     }
 
     #[test]

@@ -67,14 +67,11 @@ pub fn run(g: &CsrGraph, threads: usize) -> Forest {
                 }
                 let i = (key & 0xffff_ffff) as usize;
                 let (u, v, _) = edges[i];
-                let ru = parents.find_repres(u);
-                let rv = parents.find_repres(v);
                 // Claim the edge only if *this* call performed the link —
                 // two components can nominate the same edge, and distinct
                 // edges between the same component pair must not both
                 // enter the forest.
-                let (_, linked) = parents.hook_linked(ru, rv);
-                if linked {
+                if parents.unite(u, v) {
                     let was = picked[i].swap(true, Ordering::Relaxed);
                     debug_assert!(!was, "edge {i} linked twice");
                     merged.fetch_add(1, Ordering::Relaxed);
@@ -107,7 +104,7 @@ mod tests {
     use super::*;
     use crate::kruskal;
     use ecl_graph::generate;
-    use ecl_unionfind::Compression;
+    use ecl_unionfind::JumpKind;
 
     #[test]
     fn matches_kruskal_weight() {
@@ -119,7 +116,7 @@ mod tests {
             generate::grid2d(14, 14),
             generate::rmat(8, 6, generate::RmatParams::GALOIS, 4),
         ] {
-            let k = kruskal::run(&g, Compression::Halving);
+            let k = kruskal::run(&g, JumpKind::Intermediate);
             let b = run(&g, 4);
             b.validate(&g).unwrap();
             assert_eq!(b.total_weight, k.total_weight);

@@ -18,7 +18,7 @@
 
 use crate::weights::weighted_edges;
 use crate::Forest;
-use ecl_cc::gpu::warp_ops::{warp_find, warp_hook_linked};
+use ecl_cc::gpu::warp_ops::{warp_find, warp_hook};
 use ecl_gpu_sim::{Gpu, Lanes};
 use ecl_graph::CsrGraph;
 use ecl_unionfind::concurrent::JumpKind;
@@ -148,7 +148,7 @@ pub fn run(gpu: &mut Gpu, g: &CsrGraph, jump: JumpKind) -> Forest {
                         // distinct edges bridging the same pair of
                         // components, and only the lane that merged them
                         // may put its edge in the forest.
-                        let (_, linked) = warp_hook_linked(w, parent, &ru, &rv, live);
+                        let (_, linked) = warp_hook(w, parent, &ru, &rv, live);
                         w.store(picked, &e, &Lanes::splat(1), linked);
                         w.store(merged, &Lanes::splat(0), &Lanes::splat(1), linked);
                     }
@@ -199,13 +199,12 @@ mod tests {
     use crate::kruskal;
     use ecl_gpu_sim::DeviceProfile;
     use ecl_graph::generate;
-    use ecl_unionfind::Compression;
 
     fn check(g: &CsrGraph) {
         let mut gpu = Gpu::new(DeviceProfile::test_tiny());
         let f = run(&mut gpu, g, JumpKind::Intermediate);
         f.validate(g).unwrap();
-        let k = kruskal::run(g, Compression::Halving);
+        let k = kruskal::run(g, JumpKind::Intermediate);
         assert_eq!(f.total_weight, k.total_weight, "weight mismatch");
         assert_eq!(f.edges.len(), k.edges.len());
     }
@@ -222,13 +221,8 @@ mod tests {
     #[test]
     fn all_jump_variants_agree() {
         let g = generate::gnm_random(150, 400, 6);
-        let k = kruskal::run(&g, Compression::Halving);
-        for jump in [
-            JumpKind::Multiple,
-            JumpKind::Single,
-            JumpKind::None,
-            JumpKind::Intermediate,
-        ] {
+        let k = kruskal::run(&g, JumpKind::Intermediate);
+        for jump in JumpKind::ALL {
             let mut gpu = Gpu::new(DeviceProfile::test_tiny());
             let f = run(&mut gpu, &g, jump);
             f.validate(&g).unwrap();

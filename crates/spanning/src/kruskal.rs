@@ -1,25 +1,28 @@
-//! Serial Kruskal on the workspace disjoint-set structure.
+//! Serial Kruskal on the workspace union-find, the single-threaded
+//! `[Cell<u32>]` [`ParentStore`].
 //!
-//! The find-compression strategy is a parameter so the paper's closing
-//! claim — intermediate pointer jumping (path halving) speeds up
-//! union-find clients like Kruskal — can be measured directly
+//! The pointer-jumping variant is a parameter so the paper's closing
+//! claim — intermediate pointer jumping (Jump4) speeds up union-find
+//! clients like Kruskal — can be measured directly across Jump1–4
 //! (`benches/spanning.rs` in `ecl-bench` sweeps it).
 
 use crate::weights::weighted_edges;
 use crate::Forest;
 use ecl_graph::CsrGraph;
-use ecl_unionfind::{Compression, DisjointSets};
+use ecl_unionfind::{JumpKind, ParentStore};
+use std::cell::Cell;
 
-/// Minimum spanning forest by Kruskal's algorithm with the given find
-/// compression.
-pub fn run(g: &CsrGraph, compression: Compression) -> Forest {
+/// Minimum spanning forest by Kruskal's algorithm, finding with the
+/// given pointer-jumping variant.
+pub fn run(g: &CsrGraph, jump: JumpKind) -> Forest {
     let mut edges = weighted_edges(g);
     edges.sort_unstable_by_key(|&(u, v, w)| (w, u, v));
-    let mut ds = DisjointSets::with_compression(g.num_vertices(), compression);
+    let mut parent: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let ds = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
     let mut forest = Vec::new();
     let mut total = 0u64;
     for (u, v, w) in edges {
-        if ds.union(u, v) {
+        if ds.unite_with(u, v, jump) {
             forest.push((u, v));
             total += w as u64;
         }
@@ -36,15 +39,6 @@ mod tests {
     use super::*;
     use ecl_graph::generate;
 
-    fn all_compressions() -> [Compression; 4] {
-        [
-            Compression::None,
-            Compression::Full,
-            Compression::Halving,
-            Compression::Splitting,
-        ]
-    }
-
     #[test]
     fn forest_is_valid_on_varied_graphs() {
         for g in [
@@ -54,7 +48,7 @@ mod tests {
             generate::gnm_random(200, 600, 1),
             generate::grid2d(9, 9),
         ] {
-            let f = run(&g, Compression::Halving);
+            let f = run(&g, JumpKind::Intermediate);
             f.validate(&g).unwrap();
             assert_eq!(
                 f.num_trees(g.num_vertices()),
@@ -66,18 +60,19 @@ mod tests {
     #[test]
     fn compression_choice_does_not_change_weight() {
         let g = generate::gnm_random(300, 900, 2);
-        let reference = run(&g, Compression::None);
-        for c in all_compressions() {
-            let f = run(&g, c);
-            assert_eq!(f.total_weight, reference.total_weight, "{c:?}");
-            f.validate(&g).unwrap();
+        let reference = run(&g, JumpKind::None);
+        reference.validate(&g).unwrap();
+        for jump in JumpKind::ALL {
+            // Same edges (and so the same weight): the jump variant only
+            // moves pointers, never a representative.
+            assert_eq!(run(&g, jump), reference, "{jump:?}");
         }
     }
 
     #[test]
     fn tree_on_tree_input_selects_every_edge() {
         let g = generate::binary_tree(31);
-        let f = run(&g, Compression::Halving);
+        let f = run(&g, JumpKind::Intermediate);
         assert_eq!(f.edges.len(), 30);
     }
 
@@ -85,7 +80,7 @@ mod tests {
     fn brute_force_weight_on_tiny_graph() {
         // K4 with deterministic weights: check against explicit minimum.
         let g = generate::complete(4);
-        let f = run(&g, Compression::Halving);
+        let f = run(&g, JumpKind::Intermediate);
         assert_eq!(f.edges.len(), 3);
         // Exhaustively check every spanning tree of K4 (16 of them).
         let all: Vec<(u32, u32, u32)> = crate::weights::weighted_edges(&g);
@@ -94,11 +89,12 @@ mod tests {
             for b in (a + 1)..all.len() {
                 for c in (b + 1)..all.len() {
                     let picks = [all[a], all[b], all[c]];
-                    let mut ds = DisjointSets::new(4);
+                    let mut parent: Vec<u32> = (0..4).collect();
+                    let ds = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
                     let mut ok = true;
                     let mut w = 0u64;
                     for &(u, v, wt) in &picks {
-                        ok &= ds.union(u, v);
+                        ok &= ds.unite(u, v);
                         w += wt as u64;
                     }
                     if ok {
@@ -112,9 +108,9 @@ mod tests {
 
     #[test]
     fn empty_and_edgeless() {
-        let f = run(&ecl_graph::GraphBuilder::new(0).build(), Compression::Full);
+        let f = run(&ecl_graph::GraphBuilder::new(0).build(), JumpKind::Multiple);
         assert!(f.edges.is_empty());
-        let f = run(&ecl_graph::GraphBuilder::new(9).build(), Compression::Full);
+        let f = run(&ecl_graph::GraphBuilder::new(9).build(), JumpKind::Multiple);
         assert!(f.edges.is_empty());
         assert_eq!(f.num_trees(9), 9);
     }

@@ -6,9 +6,10 @@
 //! the minimum spanning tree of a graph." This crate builds minimum
 //! spanning forests (MSF — one tree per connected component) three ways:
 //!
-//! * [`kruskal`] — serial Kruskal on [`ecl_unionfind::DisjointSets`],
-//!   with the compression strategy pluggable so the paper's claim (path
-//!   halving accelerates union-find clients) is directly benchmarkable,
+//! * [`kruskal`] — serial Kruskal on the `[Cell<u32>]`
+//!   [`ecl_unionfind::ParentStore`], taking the pointer-jumping variant
+//!   (Jump1–4) as a parameter so the paper's claim (intermediate pointer
+//!   jumping accelerates union-find clients) is directly benchmarkable,
 //! * [`boruvka`] — parallel Borůvka on the lock-free
 //!   [`ecl_unionfind::AtomicParents`], selecting each component's
 //!   lightest edge with packed-word atomic minima,
@@ -28,6 +29,7 @@ pub mod kruskal;
 pub mod weights;
 
 use ecl_graph::Vertex;
+use ecl_unionfind::ParentStore;
 
 /// A spanning forest: the selected edges and their total weight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,13 +50,13 @@ impl Forest {
     /// Checks structural validity against `g`: every edge exists in `g`,
     /// no cycles, and the forest connects exactly the components of `g`.
     pub fn validate(&self, g: &ecl_graph::CsrGraph) -> Result<(), String> {
-        let n = g.num_vertices();
-        let mut ds = ecl_unionfind::DisjointSets::new(n);
+        let mut parent: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        let ds = std::cell::Cell::from_mut(&mut parent[..]).as_slice_of_cells();
         for &(u, v) in &self.edges {
             if !g.has_edge(u, v) {
                 return Err(format!("forest edge ({u},{v}) not in graph"));
             }
-            if !ds.union(u, v) {
+            if !ds.unite(u, v) {
                 return Err(format!("forest edge ({u},{v}) closes a cycle"));
             }
         }

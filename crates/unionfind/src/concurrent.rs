@@ -1,7 +1,7 @@
-//! Lock-free concurrent union-find: the data structure at the core of
-//! ECL-CC (paper §3, Figs. 5 and 6).
+//! The [`ParentStore`] union-find (paper §3, Figs. 5 and 6) and its
+//! lock-free store, the data structure at the core of ECL-CC.
 //!
-//! The parent array is a slice of `AtomicU32`. All plain loads and stores
+//! [`AtomicParents`]' parent array is a slice of `AtomicU32`. All plain loads and stores
 //! use `Relaxed` ordering: every value ever stored in a parent cell is a
 //! valid vertex ID whose path still leads to the representative, so the
 //! algorithm tolerates arbitrarily stale values — the "benign data races"
@@ -10,10 +10,9 @@
 //! correctness; the final synchronization point is the thread join at the
 //! end of each parallel phase, which is sequentially consistent.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Pointer-jumping variants of the concurrent find (paper §5.1, Fig. 8).
+/// Pointer-jumping variants of the find (paper §5.1, Fig. 8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JumpKind {
     /// Jump1: multiple pointer jumping — two traversals, every element on
@@ -29,14 +28,20 @@ pub enum JumpKind {
     Intermediate,
 }
 
-/// A parent array the ECL-CC phases run over. `get`, `set` and `hook` are
-/// the store's own; the finds are written once on top of them, so the
-/// serial store and the lock-free [`AtomicParents`] share every pointer
+impl JumpKind {
+    /// Jump1–4, in the paper's order.
+    pub const ALL: [JumpKind; 4] = [Self::Multiple, Self::Single, Self::None, Self::Intermediate];
+}
+
+/// A parent array: the one union-find of the workspace. `get`, `set`,
+/// `len` and `hook_linked` are the store's own; the finds, hooks and
+/// helpers are written once on top of them, so the single-threaded
+/// `[Cell<u32>]` and the lock-free [`AtomicParents`] share every pointer
 /// jump.
 ///
 /// Hooking always makes smaller IDs win, so parent chains strictly
 /// decrease: every find terminates even while other threads modify the
-/// array.
+/// array, and the representative of a set is its minimum element.
 pub trait ParentStore {
     /// Current parent of `v` (a racy snapshot on a shared store).
     fn get(&self, v: u32) -> u32;
@@ -46,9 +51,27 @@ pub trait ParentStore {
     /// [`Self::hook`] instead.
     fn set(&self, v: u32, p: u32);
 
+    /// Number of elements.
+    fn len(&self) -> usize;
+
+    /// True if the store has no elements.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Given two endpoints' representatives, links the larger under the
-    /// smaller and returns the representative that won.
-    fn hook(&self, u_rep: u32, v_rep: u32) -> u32;
+    /// smaller. Returns the representative that won and whether **this
+    /// call** performed the link. Because parent links always point to
+    /// strictly smaller IDs, a link provably merges two previously
+    /// distinct sets — spanning-forest and incremental clients use the
+    /// flag to claim an edge (exactly one claimant per merge).
+    fn hook_linked(&self, u_rep: u32, v_rep: u32) -> (u32, bool);
+
+    /// [`Self::hook_linked`] without the flag: the paper's Fig. 6 hook.
+    #[inline]
+    fn hook(&self, u_rep: u32, v_rep: u32) -> u32 {
+        self.hook_linked(u_rep, v_rep).0
+    }
 
     /// The paper's Fig. 5 `find_repres`: walks to the representative while
     /// halving the path (each visited element is made to skip its
@@ -118,33 +141,49 @@ pub trait ParentStore {
             }
         }
     }
-}
 
-/// The single-threaded store: a plain-store hook, since no other thread
-/// can move a representative between the find and the store. Build one
-/// over a `Vec` with `Cell::from_mut(&mut v[..]).as_slice_of_cells()`.
-impl ParentStore for [Cell<u32>] {
+    /// One full edge step: finds both endpoints' representatives with
+    /// the given pointer-jumping variant and hooks them. Returns `true`
+    /// if this call merged two sets.
     #[inline]
-    fn get(&self, v: u32) -> u32 {
-        self[v as usize].get()
+    fn unite_with(&self, u: u32, v: u32, kind: JumpKind) -> bool {
+        let ru = self.find_with(u, kind);
+        let rv = self.find_with(v, kind);
+        self.hook_linked(ru, rv).1
     }
 
+    /// [`Self::unite_with`] under the ECL-CC default, Jump4.
     #[inline]
-    fn set(&self, v: u32, p: u32) {
-        self[v as usize].set(p);
+    fn unite(&self, u: u32, v: u32) -> bool {
+        self.unite_with(u, v, JumpKind::Intermediate)
     }
 
-    #[inline]
-    fn hook(&self, u_rep: u32, v_rep: u32) -> u32 {
-        if u_rep != v_rep {
-            if u_rep < v_rep {
-                self.set(v_rep, u_rep);
-            } else {
-                self.set(u_rep, v_rep);
-                return v_rep;
-            }
+    /// Points every element at its representative (the CC codes'
+    /// finalization). Call only while no other thread hooks.
+    fn flatten(&self) {
+        for v in 0..self.len() as u32 {
+            self.set(v, self.find_naive(v));
         }
-        u_rep
+    }
+
+    /// Number of representatives in the current state.
+    fn count_sets(&self) -> usize {
+        (0..self.len() as u32).filter(|&v| self.get(v) == v).count()
+    }
+
+    /// Path length from `v` to its representative in the current state
+    /// (0 if `v` is a representative).
+    fn path_length(&self, v: u32) -> usize {
+        let mut cur = v;
+        let mut len = 0;
+        loop {
+            let p = self.get(cur);
+            if p >= cur {
+                return len;
+            }
+            len += 1;
+            cur = p;
+        }
     }
 }
 
@@ -165,35 +204,28 @@ impl ParentStore for AtomicParents {
         self.parent[v as usize].store(p, Ordering::Relaxed);
     }
 
-    /// The paper's Fig. 6 hooking: a CAS retry loop. `u_rep`/`v_rep` may
-    /// be stale; the loop refreshes them from the CAS failure value
-    /// exactly as the CUDA code does.
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The paper's Fig. 6 hooking: a CAS retry loop. The representatives
+    /// may be stale; a failed CAS returns the stale one's current parent,
+    /// and the loop retries with it exactly as the CUDA code does.
     #[inline]
-    fn hook(&self, mut u_rep: u32, mut v_rep: u32) -> u32 {
+    fn hook_linked(&self, mut u_rep: u32, mut v_rep: u32) -> (u32, bool) {
         loop {
-            if v_rep == u_rep {
-                return u_rep;
+            if u_rep == v_rep {
+                return (u_rep, false);
             }
-            if v_rep < u_rep {
-                match self.parent[u_rep as usize].compare_exchange(
-                    u_rep,
-                    v_rep,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return v_rep,
-                    Err(actual) => u_rep = actual,
-                }
-            } else {
-                match self.parent[v_rep as usize].compare_exchange(
-                    v_rep,
-                    u_rep,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return u_rep,
-                    Err(actual) => v_rep = actual,
-                }
+            let (hi, lo) = (u_rep.max(v_rep), u_rep.min(v_rep));
+            match self.parent[hi as usize].compare_exchange(
+                hi,
+                lo,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return (lo, true),
+                Err(actual) => (u_rep, v_rep) = (actual, lo),
             }
         }
     }
@@ -218,57 +250,6 @@ impl AtomicParents {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Like [`Self::hook`], but also reports whether **this call**
-    /// performed the linking CAS. Because parent links always point to
-    /// strictly smaller IDs, a successful CAS provably merges two
-    /// previously-distinct components — callers building spanning forests
-    /// use the flag to claim the edge (exactly one claimant per merge).
-    pub fn hook_linked(&self, mut u_rep: u32, mut v_rep: u32) -> (u32, bool) {
-        loop {
-            if v_rep == u_rep {
-                return (u_rep, false);
-            }
-            let (hi, lo) = if v_rep < u_rep {
-                (u_rep, v_rep)
-            } else {
-                (v_rep, u_rep)
-            };
-            match self.parent[hi as usize].compare_exchange(
-                hi,
-                lo,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return (lo, true),
-                Err(actual) => {
-                    if hi == u_rep {
-                        u_rep = actual;
-                    } else {
-                        v_rep = actual;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Convenience: find both endpoints' representatives and hook them
-    /// (one full edge-processing step).
-    pub fn unite(&self, u: u32, v: u32) {
-        let ru = self.find_repres(u);
-        let rv = self.find_repres(v);
-        self.hook(ru, rv);
-    }
-
     /// Snapshot of the parent array (call only between parallel phases).
     pub fn snapshot(&self) -> Vec<u32> {
         self.parent
@@ -276,35 +257,13 @@ impl AtomicParents {
             .map(|p| p.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Number of representatives in the current state.
-    pub fn count_sets(&self) -> usize {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| p.load(Ordering::Relaxed) == i as u32)
-            .count()
-    }
-
-    /// Path length from `v` to its representative in the current state.
-    pub fn path_length(&self, v: u32) -> usize {
-        let mut cur = v;
-        let mut len = 0;
-        loop {
-            let p = self.get(cur);
-            if p >= cur {
-                return len;
-            }
-            len += 1;
-            cur = p;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecl_parallel::{parallel_for, parallel_for_teams, Schedule};
+    use std::cell::Cell;
 
     #[test]
     fn sequential_semantics() {
@@ -315,6 +274,10 @@ mod tests {
         assert_eq!(p.find_repres(7), 3);
         assert_eq!(p.find_repres(0), 0);
         assert_eq!(p.count_sets(), 8);
+        assert!(!p.unite(9, 3), "already one set");
+        let empty = AtomicParents::new(0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.count_sets(), 0);
     }
 
     #[test]
@@ -337,12 +300,7 @@ mod tests {
 
     #[test]
     fn all_jump_kinds_find_same_root() {
-        for kind in [
-            JumpKind::Multiple,
-            JumpKind::Single,
-            JumpKind::None,
-            JumpKind::Intermediate,
-        ] {
+        for kind in JumpKind::ALL {
             let p = AtomicParents::from_vec(vec![0, 0, 1, 2, 3, 4, 5, 6]);
             assert_eq!(p.find_with(7, kind), 0, "{kind:?}");
             // The plain store shares the provided finds: same root, same
@@ -374,8 +332,11 @@ mod tests {
             fn set(&self, v: u32, p: u32) {
                 self.p.set(v, p);
             }
-            fn hook(&self, u_rep: u32, v_rep: u32) -> u32 {
-                self.p.hook(u_rep, v_rep)
+            fn len(&self) -> usize {
+                self.p.len()
+            }
+            fn hook_linked(&self, u_rep: u32, v_rep: u32) -> (u32, bool) {
+                self.p.hook_linked(u_rep, v_rep)
             }
         }
         let s = Racy {

@@ -1,13 +1,14 @@
-//! Model-based property tests: every union-find variant is checked
-//! against a trivially-correct partition model over random operation
-//! sequences.
+//! Model-based property tests: both parent stores, under every
+//! pointer-jumping variant, are checked against a trivially-correct
+//! partition model over random operation sequences.
 //!
 //! Random sequences come from the workspace's deterministic PCG32 stream
 //! (fixed seeds) so the suite runs hermetically with no external
 //! property-testing framework and is exactly reproducible.
 
 use ecl_graph::generate::Pcg32;
-use ecl_unionfind::{AtomicParents, Compression, DisjointSets, ParentStore};
+use ecl_unionfind::{AtomicParents, JumpKind, ParentStore};
+use std::cell::Cell;
 
 /// The reference model: partition kept as a label vector where merging
 /// rewrites all labels (O(n) per union, obviously correct).
@@ -64,26 +65,23 @@ fn sequential_matches_model() {
     let mut rng = Pcg32::new(0x5e9);
     for _ in 0..64 {
         let (n, pairs) = ops(&mut rng);
-        for comp in [
-            Compression::None,
-            Compression::Full,
-            Compression::Halving,
-            Compression::Splitting,
-        ] {
-            let mut ds = DisjointSets::with_compression(n, comp);
+        for jump in JumpKind::ALL {
+            let mut parent: Vec<u32> = (0..n as u32).collect();
+            let ds = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
             let mut model = Model::new(n);
             for &(a, b) in &pairs {
-                ds.union(a, b);
+                let linked = ds.unite_with(a, b, jump);
+                assert_eq!(linked, !model.same(a, b), "{jump:?}");
                 model.union(a, b);
                 // Spot-check connectivity after every operation.
-                assert_eq!(ds.same_set(a, b), model.same(a, b));
+                assert_eq!(ds.find_with(a, jump), ds.find_with(b, jump));
             }
-            assert_eq!(ds.count_sets(), model.count(), "{comp:?}");
-            // After flatten, labels equal component minima.
+            assert_eq!(ds.count_sets(), model.count(), "{jump:?}");
+            // After a flatten, labels equal component minima.
             ds.flatten();
             for v in 0..n as u32 {
                 let min = (0..n as u32).filter(|&u| model.same(u, v)).min().unwrap();
-                assert_eq!(ds.parents()[v as usize], min);
+                assert_eq!(parent[v as usize], min, "{jump:?}");
             }
         }
     }
@@ -120,22 +118,20 @@ fn concurrent_matches_model() {
     }
 }
 
+/// Each link reduces the set count by exactly one, on either store.
+fn links_count_merges<P: ParentStore + ?Sized>(store: &P, pairs: &[(u32, u32)]) {
+    let links = pairs.iter().filter(|&&(a, b)| store.unite(a, b)).count();
+    assert_eq!(store.count_sets(), store.len() - links);
+}
+
 #[test]
 fn hook_linked_counts_merges_exactly() {
     let mut rng = Pcg32::new(0x400c);
     for _ in 0..64 {
         let (n, pairs) = ops(&mut rng);
-        let par = AtomicParents::new(n);
-        let mut links = 0usize;
-        for &(a, b) in &pairs {
-            let ra = par.find_repres(a);
-            let rb = par.find_repres(b);
-            if par.hook_linked(ra, rb).1 {
-                links += 1;
-            }
-        }
-        // Each link reduces the set count by exactly one.
-        assert_eq!(par.count_sets(), n - links);
+        links_count_merges(&AtomicParents::new(n), &pairs);
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        links_count_merges(Cell::from_mut(&mut parent[..]).as_slice_of_cells(), &pairs);
     }
 }
 

@@ -15,8 +15,7 @@
 use ecl_examples::arg_or;
 use ecl_gpu_sim::{DeviceProfile, Gpu};
 use ecl_graph::generate;
-use ecl_unionfind::concurrent::JumpKind;
-use ecl_unionfind::Compression;
+use ecl_unionfind::JumpKind;
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let kruskal = ecl_spanning::kruskal::run(&g, Compression::Halving);
+    let kruskal = ecl_spanning::kruskal::run(&g, JumpKind::Intermediate);
     println!(
         "\nKruskal (serial, path halving): weight {}, {} edges, {:.2} ms",
         kruskal.total_weight,

@@ -6,7 +6,8 @@
 
 use ecl_graph::generate::Pcg32;
 use ecl_integration::all_algorithms;
-use ecl_unionfind::ParentStore;
+use ecl_unionfind::{JumpKind, ParentStore};
+use std::cell::Cell;
 
 /// Random edge list over up to 64 vertices (dense enough to form
 /// interesting component structures, small enough to run every algorithm).
@@ -64,15 +65,16 @@ fn union_find_partition_matches_graph_components() {
     for _ in 0..48 {
         let (n, edges) = random_edges(&mut rng);
         let g = ecl_graph::builder::from_edges(n, &edges);
-        let mut ds = ecl_unionfind::DisjointSets::new(g.num_vertices());
+        let mut parent: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        let ds = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
         for (u, v) in g.edges() {
-            ds.union(u, v);
+            ds.unite(u, v);
         }
         assert_eq!(ds.count_sets(), ecl_graph::stats::count_components(&g));
         // flatten: every parent is a root, and equals the component min.
         ds.flatten();
         let reference = ecl_graph::stats::reference_labels(&g);
-        assert_eq!(ds.parents(), &reference[..]);
+        assert_eq!(parent, reference);
     }
 }
 
@@ -111,18 +113,21 @@ fn path_lengths_never_grow_under_find() {
     for _ in 0..48 {
         let len = 1 + rng.below(79) as usize;
         let seq: Vec<(u32, u32)> = (0..len).map(|_| (rng.below(40), rng.below(40))).collect();
-        let mut ds = ecl_unionfind::DisjointSets::new(40);
-        for &(a, b) in &seq {
-            ds.union(a, b);
-        }
-        for v in 0..40u32 {
-            let before = ds.path_length(v);
-            ds.find(v);
-            let after = ds.path_length(v);
-            assert!(
-                after <= before,
-                "find lengthened path of {v}: {before} -> {after}"
-            );
+        for jump in JumpKind::ALL {
+            let mut parent: Vec<u32> = (0..40).collect();
+            let ds = Cell::from_mut(&mut parent[..]).as_slice_of_cells();
+            for &(a, b) in &seq {
+                ds.unite_with(a, b, jump);
+            }
+            for v in 0..40u32 {
+                let before = ds.path_length(v);
+                ds.find_with(v, jump);
+                let after = ds.path_length(v);
+                assert!(
+                    after <= before,
+                    "{jump:?} find lengthened path of {v}: {before} -> {after}"
+                );
+            }
         }
     }
 }
