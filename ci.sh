@@ -138,6 +138,41 @@ done
     || { echo "edge list lost vertices on read-back"; "$ECL" stats "$BATCH_DIR/uf.el"; exit 1; }
 echo "    compare agrees on both graphs; spanning forests agree; edge list keeps 2048 vertices"
 
+echo "==> certification witnesses do not depend on the core count"
+# The checker splits its vertex pass into chunks of 2^14 vertices across
+# the cores. A label corrupted in a late chunk must be reported with the
+# same witness on one core as on all of them, and the clean labels must
+# certify both ways. The pinned half needs `taskset`.
+"$ECL" generate soc-LiveJournal1 -o "$BATCH_DIR/wit.el" --scale bench > /dev/null
+"$ECL" components "$BATCH_DIR/wit.el" --labels "$BATCH_DIR/wit.labels" > /dev/null
+# Vertex 30000 (chunk 1) takes a label that is not a representative.
+awk '$1 == 30000 { $2 = 30001 } 1' "$BATCH_DIR/wit.labels" > "$BATCH_DIR/wit-bad.labels"
+cmp -s "$BATCH_DIR/wit.labels" "$BATCH_DIR/wit-bad.labels" \
+    && { echo "witness step: corruption did not change the labels"; exit 1; }
+PINS=(unpinned)
+command -v taskset > /dev/null && PINS+=(pinned) \
+    || echo "    taskset not found: skipping the pinned runs"
+for PIN in "${PINS[@]}"; do
+    RUN=("$ECL")
+    [ "$PIN" = pinned ] && RUN=(taskset -c 0 "$ECL")
+    "${RUN[@]}" verify "$BATCH_DIR/wit.el" --labels "$BATCH_DIR/wit.labels" > /dev/null \
+        || { echo "clean labels failed to certify ($PIN)"; exit 1; }
+    set +e
+    "${RUN[@]}" verify "$BATCH_DIR/wit.el" --labels "$BATCH_DIR/wit-bad.labels" \
+        > /dev/null 2> "$BATCH_DIR/wit-$PIN.err"
+    WIT_STATUS=$?
+    set -e
+    [ "$WIT_STATUS" -eq 1 ] \
+        || { echo "corrupted labels exited $WIT_STATUS ($PIN), expected 1"; exit 1; }
+done
+grep -q "label 30001 of vertex 30000 is not a representative" "$BATCH_DIR/wit-unpinned.err" \
+    || { echo "witness names the wrong vertex:"; cat "$BATCH_DIR/wit-unpinned.err"; exit 1; }
+if [ -e "$BATCH_DIR/wit-pinned.err" ]; then
+    cmp -s "$BATCH_DIR/wit-pinned.err" "$BATCH_DIR/wit-unpinned.err" \
+        || { echo "witness differs between one core and all cores"; exit 1; }
+fi
+echo "    clean labels certify; late-chunk witness identical across runs: ${PINS[*]}"
+
 echo "==> execution-mode equivalence suite"
 # The golden determinism contract: serial cycle counts and per-level
 # cache stats pinned bit-for-bit, host-parallel labels byte-identical to

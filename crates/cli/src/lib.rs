@@ -323,7 +323,9 @@ pub fn run_gpu_observed(
 /// `components --labels`) into a dense label array for an `n`-vertex
 /// graph. Vertices may appear in any order; each must appear exactly once.
 pub fn parse_label_file(text: &str, n: usize) -> Result<Vec<u32>, String> {
-    let mut labels = vec![u32::MAX; n];
+    let mut labels = vec![0u32; n];
+    // Every `u32` is a legal label, so listed vertices get their own bits.
+    let mut listed = vec![0u64; n.div_ceil(64)];
     let mut seen = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -347,9 +349,11 @@ pub fn parse_label_file(text: &str, n: usize) -> Result<Vec<u32>, String> {
                 lineno + 1
             ));
         }
-        if labels[v] != u32::MAX {
+        let (word, bit) = (v / 64, 1u64 << (v % 64));
+        if listed[word] & bit != 0 {
             return Err(format!("line {}: vertex {v} listed twice", lineno + 1));
         }
+        listed[word] |= bit;
         labels[v] = l;
         seen += 1;
     }
@@ -443,6 +447,18 @@ mod tests {
         assert!(parse_label_file("5 0\n", 1).is_err(), "out of range");
         assert!(parse_label_file("a b\n", 1).is_err(), "garbage");
         assert!(parse_label_file("0 1 2\n", 1).is_err(), "extra column");
+    }
+
+    #[test]
+    fn label_file_duplicate_of_max_label_is_caught() {
+        // `u32::MAX` is a legal (if out-of-range) label: listing vertex 0
+        // with it and then again must blame the repeat, not the vertex the
+        // file leaves out.
+        let text = "0 4294967295\n1 0\n2 0\n3 0\n4 0\n0 0\n";
+        assert_eq!(
+            parse_label_file(text, 6),
+            Err("line 6: vertex 0 listed twice".to_string())
+        );
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl IncrementalCc {
     /// Freezes the structure into a final labeling (flattens every path).
     pub fn finish(self) -> CcResult {
         self.parents.flatten();
-        CcResult::new(self.parents.snapshot())
+        CcResult::new(self.parents.into_vec())
     }
 }
 

@@ -50,7 +50,7 @@ pub(crate) fn run_counted(
         schedule,
     };
     let stats = pipeline::run(g, cfg, &pool, tally);
-    (CcResult::new(parents.snapshot()), stats)
+    (CcResult::new(parents.into_vec()), stats)
 }
 
 /// The parallel sweep: an OpenMP-style `parallel for` over the vertices.

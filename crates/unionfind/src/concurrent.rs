@@ -257,6 +257,16 @@ impl AtomicParents {
             .map(|p| p.load(Ordering::Relaxed))
             .collect()
     }
+
+    /// The final parent array, reusing this store's allocation (the
+    /// atomics share `u32`'s layout, so no copy is made).
+    pub fn into_vec(self) -> Vec<u32> {
+        self.parent
+            .into_vec()
+            .into_iter()
+            .map(AtomicU32::into_inner)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +288,15 @@ mod tests {
         let empty = AtomicParents::new(0);
         assert!(empty.is_empty());
         assert_eq!(empty.count_sets(), 0);
+    }
+
+    #[test]
+    fn into_vec_keeps_the_allocation() {
+        let p = AtomicParents::from_vec(vec![0, 0, 1, 3]);
+        let (snap, addr) = (p.snapshot(), p.parent.as_ptr() as usize);
+        let parents = p.into_vec();
+        assert_eq!(parents, snap);
+        assert_eq!(parents.as_ptr() as usize, addr, "copied, not reused");
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! low-diameter giant component they read about a tenth of the
 //! adjacency, and on a mesh the BFS stays top-down.
 //!
+//! The two never read each other's results, so they run at once on
+//! every core `std::thread::available_parallelism` reports: the BFS on
+//! one scoped thread, and the vertex pass in chunks of 2^14 vertices
+//! claimed from a shared cursor by the calling thread, the other
+//! helpers, and the BFS thread once its count is done. Chunk findings
+//! are reduced in chunk order, so the witness a failing run returns is
+//! the one a serial scan finds first, whatever the thread count.
+//!
 //! The checker is *certifying* in the Mehlhorn sense: a passing run
 //! returns a [`Certificate`] stating the facts that were established,
 //! and a failing run returns a [`VerifyError`] pinpointing a concrete
@@ -40,6 +48,8 @@
 
 use ecl_graph::{CsrGraph, Vertex};
 use std::fmt;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(test)]
 mod oracle;
@@ -204,7 +214,12 @@ pub struct Certificate {
 /// Certifies that `labels` is a valid connected-components labeling of
 /// `g`: every edge's endpoints carry equal labels, every used label is
 /// its own representative, and the component count matches an
-/// independent serial BFS. O(n + m) time, O(n) space.
+/// independent serial BFS. O(n + m) work, O(n) space.
+///
+/// The BFS runs on its own thread while the vertex pass is spread over
+/// the remaining cores in chunks; with one core nothing is spawned. The
+/// returned `Result`, witness included, is the same at every thread
+/// count.
 pub fn certify(g: &CsrGraph, labels: &[Vertex]) -> Result<Certificate, VerifyError> {
     certify_inner(g, labels, false)
 }
@@ -220,54 +235,64 @@ fn certify_inner(
     labels: &[Vertex],
     canonical: bool,
 ) -> Result<Certificate, VerifyError> {
-    let n = g.num_vertices();
-    if labels.len() != n {
-        return Err(VerifyError::LengthMismatch {
-            expected: n,
-            got: labels.len(),
-        });
-    }
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    certify_chunked(g, labels, canonical, threads, CHUNK)
+}
 
-    // One streaming pass over the vertices. Range and representative
-    // failures outrank every later check, so they return at once; the
-    // first edge split and the first label above its own vertex are only
-    // recorded here and reported in priority order after the pass.
-    let mut fixpoints = 0usize;
-    let mut first_split = None;
-    let mut first_above = None;
-    for (v, &l) in labels.iter().enumerate() {
-        // Labels in range, and each used label a fixpoint of the labeling
-        // — so distinct labels biject with the classes they name.
+/// Vertices per chunk of the vertex pass.
+const CHUNK: usize = 1 << 14;
+
+/// One chunk's findings from the vertex pass.
+#[derive(Default)]
+struct Scan {
+    /// The chunk's first range or representative failure; the scan stops
+    /// there, so the fields below cover only the vertices before it.
+    fatal: Option<VerifyError>,
+    /// Vertices labeled with themselves.
+    fixpoints: usize,
+    /// The chunk's first edge split, in `CsrGraph::edges` order.
+    split: Option<VerifyError>,
+    /// The chunk's first vertex labeled above itself.
+    above: Option<usize>,
+}
+
+/// Scans the vertices `range`: labels in range, each used label a fixpoint
+/// of the labeling (so distinct labels biject with the classes they
+/// name), and labels constant across every edge `(u, w)` with `u < w`.
+fn scan(g: &CsrGraph, labels: &[Vertex], range: Range<usize>) -> Scan {
+    let n = labels.len();
+    let mut found = Scan::default();
+    for v in range {
+        let l = labels[v];
         if (l as usize) >= n {
-            return Err(VerifyError::LabelOutOfRange {
+            found.fatal = Some(VerifyError::LabelOutOfRange {
                 vertex: v as Vertex,
                 label: l,
             });
+            break;
         }
         let ll = labels[l as usize];
         if ll != l {
-            return Err(VerifyError::NotRepresentative {
+            found.fatal = Some(VerifyError::NotRepresentative {
                 vertex: v as Vertex,
                 label: l,
                 label_of_label: ll,
             });
+            break;
         }
         if l as usize == v {
-            fixpoints += 1;
-        } else if l as usize > v && first_above.is_none() {
-            first_above = Some(v);
+            found.fixpoints += 1;
+        } else if l as usize > v && found.above.is_none() {
+            found.above = Some(v);
         }
-        // Edge consistency: labels are constant on connected components.
-        // Edges are visited as `(u, w)` with `u < w` in `CsrGraph::edges`
-        // order, so the first split found is the one that scan finds.
-        if first_split.is_none() {
+        if found.split.is_none() {
             let u = v as Vertex;
             if let Some(&w) = g
                 .neighbors(u)
                 .iter()
                 .find(|&&w| w > u && labels[w as usize] != l)
             {
-                first_split = Some(VerifyError::EdgeSplit {
+                found.split = Some(VerifyError::EdgeSplit {
                     u,
                     v: w,
                     label_u: l,
@@ -276,14 +301,91 @@ fn certify_inner(
             }
         }
     }
-    if let Some(split) = first_split {
-        return Err(split);
+    found
+}
+
+/// [`certify_inner`] on `threads` threads with `chunk` vertices per
+/// chunk. The vertex pass and the BFS ground truth never read each
+/// other's results, so they run at once: one thread counts components
+/// and then joins the others in claiming chunks from a shared cursor.
+/// Findings are reduced in chunk order, so the `Result` does not depend
+/// on `threads`, `chunk` or the schedule.
+fn certify_chunked(
+    g: &CsrGraph,
+    labels: &[Vertex],
+    canonical: bool,
+    threads: usize,
+    chunk: usize,
+) -> Result<Certificate, VerifyError> {
+    let n = g.num_vertices();
+    if labels.len() != n {
+        return Err(VerifyError::LengthMismatch {
+            expected: n,
+            got: labels.len(),
+        });
+    }
+    let chunks = n.div_ceil(chunk);
+    let cursor = AtomicUsize::new(0);
+    let drain = || {
+        let mut scans = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                return scans;
+            }
+            scans.push((c, scan(g, labels, c * chunk..n.min((c + 1) * chunk))));
+        }
+    };
+    // More than one drainer per chunk would only idle.
+    let threads = threads.min(chunks + 1);
+    if threads <= 1 {
+        let components = || bfs_component_count(g).0;
+        return reduce(g, labels, canonical, drain(), chunks, components);
+    }
+    let (scans, components) = std::thread::scope(|s| {
+        let bfs = s.spawn(|| (bfs_component_count(g).0, drain()));
+        let helpers: Vec<_> = (2..threads).map(|_| s.spawn(drain)).collect();
+        let mut scans = drain();
+        for h in helpers {
+            scans.extend(h.join().expect("vertex pass thread panicked"));
+        }
+        let (components, rest) = bfs.join().expect("ground truth thread panicked");
+        scans.extend(rest);
+        (scans, components)
+    });
+    reduce(g, labels, canonical, scans, chunks, || components)
+}
+
+/// Joins the chunk findings in chunk order, which is the priority order
+/// of one serial pass: the first range or representative failure, then
+/// the first edge split, then the component count against the ground
+/// truth, then (canonical only) the first vertex labeled above itself.
+fn reduce(
+    g: &CsrGraph,
+    labels: &[Vertex],
+    canonical: bool,
+    mut scans: Vec<(usize, Scan)>,
+    chunks: usize,
+    components: impl FnOnce() -> usize,
+) -> Result<Certificate, VerifyError> {
+    scans.sort_unstable_by_key(|&(c, _)| c);
+    assert!(
+        scans.iter().map(|&(c, _)| c).eq(0..chunks),
+        "vertex pass must scan every chunk exactly once"
+    );
+    let mut scans: Vec<Scan> = scans.into_iter().map(|(_, s)| s).collect();
+    if let Some(e) = scans.iter_mut().find_map(|s| s.fatal.take()) {
+        return Err(e);
+    }
+    if let Some(e) = scans.iter_mut().find_map(|s| s.split.take()) {
+        return Err(e);
     }
 
-    // Independent ground truth: a serial BFS component count. With edge
-    // consistency established, label classes can only be unions of whole
-    // components, so count equality proves the partitions are identical.
-    let (num_components, _) = bfs_component_count(g);
+    // With edge consistency established, label classes can only be
+    // unions of whole components, so count equality with the independent
+    // BFS proves the partitions are identical.
+    let num_components = components();
+    let fixpoints = scans.iter().map(|s| s.fixpoints).sum();
     if fixpoints != num_components {
         return Err(VerifyError::ComponentCountMismatch {
             expected: num_components,
@@ -297,7 +399,7 @@ fn certify_inner(
     // its class, or an earlier non-canonical vertex, would be an earlier
     // vertex labeled above itself.
     if canonical {
-        if let Some(v) = first_above {
+        if let Some(v) = scans.iter().find_map(|s| s.above) {
             return Err(VerifyError::NotCanonical {
                 vertex: v as Vertex,
                 label: labels[v],
@@ -307,7 +409,7 @@ fn certify_inner(
     }
 
     Ok(Certificate {
-        num_vertices: n,
+        num_vertices: g.num_vertices(),
         edges_checked: g.num_edges(),
         num_components,
         canonical,
@@ -739,14 +841,22 @@ mod tests {
                             corrupt(&mut labels, kind, &mut rng);
                         }
                     }
-                    for (canonical, got) in [
-                        (false, certify(&g, &labels)),
-                        (true, certify_canonical(&g, &labels)),
-                    ] {
+                    for canonical in [false, true] {
                         let want = oracle::certify_three_pass(&g, &labels, canonical);
-                        assert_eq!(got, want, "seed {seed}, trial {trial}, {labels:?}");
+                        // Small chunks put witnesses in later chunks, so
+                        // the chunk-order reduction decides the winner.
+                        for chunk in [1, 7, 64] {
+                            for threads in 1..=3 {
+                                let got = certify_chunked(&g, &labels, canonical, threads, chunk);
+                                assert_eq!(
+                                    got, want,
+                                    "seed {seed}, trial {trial}, chunk {chunk}, \
+                                     {threads} threads, {labels:?}"
+                                );
+                            }
+                        }
                         cases += 1;
-                        if let Err(e) = got {
+                        if let Err(e) = want {
                             rejections += 1;
                             kinds_seen.insert(std::mem::discriminant(&e));
                         }
@@ -760,6 +870,70 @@ mod tests {
         );
         // Range, representative, split, count and canonical witnesses.
         assert_eq!(kinds_seen.len(), 5);
+    }
+
+    #[test]
+    fn earliest_chunk_witness_wins_at_every_thread_count() {
+        // Two power-law components of 2^15 vertices: four default chunks,
+        // the second component's minimum opening chunk 2.
+        let a = generate::preferential_attachment(1 << 15, 8, 1);
+        let b = generate::preferential_attachment(1 << 15, 8, 2);
+        let g = disjoint_union(&a, &b);
+        let truth = labels_of(&g);
+        let n = g.num_vertices() as Vertex;
+        let (early, late) = (20_000usize, 40_000usize);
+        assert_eq!((early / CHUNK, late / CHUNK), (1, 2));
+        assert!(
+            truth.iter().all(|&l| l == 0 || l == 1 << 15),
+            "two components, the second opening chunk 2"
+        );
+        let plant = |edits: &[(usize, Vertex)]| {
+            let mut labels = truth.clone();
+            for &(v, l) in edits {
+                labels[v] = l;
+            }
+            labels
+        };
+        let cases = [
+            // Two range/representative failures, either order of kinds.
+            plant(&[(early, n), (late, late as Vertex + 1)]),
+            plant(&[(early, early as Vertex + 1), (late, n)]),
+            // Splits opened in two chunks; a later fatal outranks them.
+            plant(&[(early, early as Vertex), (late, late as Vertex)]),
+            plant(&[(early, early as Vertex), (late, n)]),
+            // Each component relabeled to a later member of its own.
+            truth
+                .iter()
+                .map(|&l| if l == 0 { early } else { late } as Vertex)
+                .collect(),
+        ];
+        for labels in &cases {
+            for canonical in [false, true] {
+                let want = oracle::certify_three_pass(&g, labels, canonical);
+                for threads in 1..=3 {
+                    let got = certify_chunked(&g, labels, canonical, threads, CHUNK);
+                    assert_eq!(got, want, "canonical {canonical}, {threads} threads");
+                }
+            }
+        }
+        let at = |labels: &[Vertex]| certify_chunked(&g, labels, false, 3, CHUNK);
+        assert!(matches!(
+            at(&cases[0]),
+            Err(VerifyError::LabelOutOfRange { vertex: 20_000, .. })
+        ));
+        assert!(matches!(
+            at(&cases[1]),
+            Err(VerifyError::NotRepresentative { vertex: 20_000, .. })
+        ));
+        assert!(matches!(at(&cases[2]), Err(VerifyError::EdgeSplit { .. })));
+        assert!(matches!(
+            at(&cases[3]),
+            Err(VerifyError::LabelOutOfRange { vertex: 40_000, .. })
+        ));
+        assert!(matches!(
+            certify_chunked(&g, &cases[4], true, 3, CHUNK),
+            Err(VerifyError::NotCanonical { vertex: 0, .. })
+        ));
     }
 
     fn disjoint_union(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
