@@ -12,6 +12,12 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+echo "==> bench-scale job graph digests (release)"
+# The RMAT, Kronecker and grid shapes of perfbench's `jobs` batch, pinned
+# byte for byte; too slow for the debug-mode suite, so the test is ignored
+# there and run here.
+cargo test --release --offline -p ecl-graph -- --ignored
+
 echo "==> cargo test (perfbench)"
 # perfbench is a workspace of its own, so the root `cargo test` skips it;
 # its tests include the check that BENCHMARK.json matches its metric tables.

@@ -19,6 +19,7 @@ use crate::warp::{BlockCtx, SmView, WarpCtx};
 use crate::{Lanes, LANES};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Instant;
 
 std::thread_local! {
     /// True while a `try_launch_*` call is on this thread's stack — the
@@ -287,6 +288,9 @@ pub struct Gpu {
     pub(crate) watchdog: Option<u64>,
     pub(crate) launch_start_sm: Vec<u64>,
     launch_index: u64,
+    /// Host wall clock at the current launch's start, for the kernel
+    /// span's `host_ns` (taken once per launch, never per warp).
+    launch_started: Instant,
     exec: ExecMode,
     /// Test/tuning override for the detected host parallelism; `None`
     /// (default) uses `std::thread::available_parallelism`.
@@ -620,6 +624,7 @@ impl Gpu {
             watchdog: None,
             launch_start_sm,
             launch_index: 0,
+            launch_started: Instant::now(),
             exec: ExecMode::Serial,
             host_threads_override: None,
             pool: WorkerPool::new(),
@@ -1304,10 +1309,11 @@ impl Gpu {
         }
     }
 
-    /// Per-launch prologue: advances the fault-RNG stream and snapshots
-    /// SM counters for the watchdog (reusing the snapshot buffer — no
-    /// per-launch allocation).
+    /// Per-launch prologue: advances the fault-RNG stream, snapshots SM
+    /// counters for the watchdog (reusing the snapshot buffer — no
+    /// per-launch allocation) and notes the host start time.
     fn begin_launch(&mut self) {
+        self.launch_started = Instant::now();
         self.launch_index += 1;
         self.fault_rng = FaultRng::new(self.fault.seed, self.launch_index);
         self.launch_start_sm.clone_from(&self.sm_cycles);
@@ -1384,12 +1390,16 @@ impl Gpu {
     /// Emits the per-launch span tree and metric updates. Runs only at
     /// launch end (the "span close" of the recording contract), buffers
     /// locally, and merges with one lock; a disabled or absent recorder
-    /// costs one branch.
+    /// costs one branch. The span's `host_ns` and the `sim.host_ns` metric
+    /// are the host wall time since [`Self::begin_launch`]: the one
+    /// recorded quantity that is not simulated, so it lives here and not
+    /// in [`KernelStats`].
     fn emit_launch_span(&self, stats: &KernelStats) {
         let Some(rec) = &self.recorder else { return };
         if !rec.is_enabled() {
             return;
         }
+        let host_ns = self.launch_started.elapsed().as_nanos() as u64;
         use ecl_obs::{TraceEvent, PID_SIM};
         let ts = self.timeline_cycles;
         let mut buf = rec.local();
@@ -1419,7 +1429,8 @@ impl Gpu {
                 .arg_f64("divergence_ratio", stats.divergence_ratio())
                 .arg_f64("l1_read_hit_ratio", stats.l1_cache.read_hit_ratio())
                 .arg_f64("l2_read_hit_ratio", stats.l2_cache.read_hit_ratio())
-                .arg_u64("dram_transactions", stats.dram_transactions),
+                .arg_u64("dram_transactions", stats.dram_transactions)
+                .arg_u64("host_ns", host_ns),
         );
         // One sub-span per SM that did work: the launch's load-balance
         // picture, rendered as per-SM tracks under the kernel row.
@@ -1444,6 +1455,7 @@ impl Gpu {
         rec.add_metric("sim.cas_attempts", stats.cas_attempts as f64);
         rec.add_metric("sim.cas_failures", stats.cas_failures as f64);
         rec.add_metric("sim.launches", 1.0);
+        rec.add_metric("sim.host_ns", host_ns as f64);
     }
 
     /// Stats of every kernel launched so far, in launch order.

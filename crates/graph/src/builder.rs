@@ -28,7 +28,19 @@ use crate::{CsrGraph, Edge, Vertex};
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     num_vertices: usize,
-    edges: Vec<Edge>,
+    /// Canonical pairs packed as `min << 32 | max`, so sorting the keys
+    /// sorts the pairs by (smaller endpoint, larger endpoint).
+    keys: Vec<u64>,
+}
+
+#[inline]
+fn pack(u: Vertex, v: Vertex) -> u64 {
+    ((u.min(v) as u64) << 32) | u.max(v) as u64
+}
+
+#[inline]
+fn unpack(key: u64) -> (usize, usize) {
+    ((key >> 32) as usize, key as u32 as usize)
 }
 
 impl GraphBuilder {
@@ -36,7 +48,7 @@ impl GraphBuilder {
     pub fn new(num_vertices: usize) -> Self {
         GraphBuilder {
             num_vertices,
-            edges: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -44,7 +56,7 @@ impl GraphBuilder {
     pub fn with_capacity(num_vertices: usize, edges: usize) -> Self {
         GraphBuilder {
             num_vertices,
-            edges: Vec::with_capacity(edges),
+            keys: Vec::with_capacity(edges),
         }
     }
 
@@ -53,7 +65,7 @@ impl GraphBuilder {
     #[inline]
     pub fn add_edge(&mut self, u: Vertex, v: Vertex) {
         self.num_vertices = self.num_vertices.max(u as usize + 1).max(v as usize + 1);
-        self.edges.push(if u <= v { (u, v) } else { (v, u) });
+        self.keys.push(pack(u, v));
     }
 
     /// Adds every edge from an iterator.
@@ -76,40 +88,50 @@ impl GraphBuilder {
 
     /// Number of raw (pre-normalization) edge insertions so far.
     pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
+        self.keys.len()
     }
 
     /// Normalizes and produces the CSR graph: drops self-loops, dedupes,
     /// symmetrizes, and sorts each adjacency list ascending.
+    ///
+    /// The lists come out sorted without a per-list sort. The deduplicated
+    /// keys are in (smaller, larger) order, and the scatter makes two
+    /// passes over them. The first appends each pair's smaller endpoint to
+    /// the larger endpoint's list, and the second appends the larger
+    /// endpoint to the smaller endpoint's list. So vertex `x` first
+    /// receives its neighbours below `x`, in ascending order because the
+    /// keys are sorted by their smaller endpoint, then its neighbours
+    /// above `x`, ascending because keys sharing the smaller endpoint `x`
+    /// are sorted by their larger one.
     pub fn build(mut self) -> CsrGraph {
         let n = self.num_vertices;
-        // Normalize to canonical (min, max) pairs, drop loops, sort, dedup.
-        self.edges.retain(|&(u, v)| u != v);
-        self.edges.sort_unstable();
-        self.edges.dedup();
+        self.keys.retain(|&k| {
+            let (u, v) = unpack(k);
+            u != v
+        });
+        self.keys.sort_unstable();
+        self.keys.dedup();
 
-        // Counting sort into CSR with both directions.
         let mut offsets = vec![0usize; n + 1];
-        for &(u, v) in &self.edges {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
+        for &k in &self.keys {
+            let (u, v) = unpack(k);
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
         let mut cursor = offsets.clone();
-        let mut adj = vec![0 as Vertex; self.edges.len() * 2];
-        for &(u, v) in &self.edges {
-            adj[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            adj[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+        let mut adj = vec![0 as Vertex; self.keys.len() * 2];
+        for &k in &self.keys {
+            let (u, v) = unpack(k);
+            adj[cursor[v]] = u as Vertex;
+            cursor[v] += 1;
         }
-        // Canonical-pair iteration order guarantees each list's `v` targets
-        // arrive in ascending order *per direction*, but the two directions
-        // interleave, so sort each list (they are short on average).
-        for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+        for &k in &self.keys {
+            let (u, v) = unpack(k);
+            adj[cursor[u]] = v as Vertex;
+            cursor[u] += 1;
         }
         CsrGraph::from_parts_unchecked(offsets, adj)
     }
@@ -126,6 +148,96 @@ pub fn from_edges(num_vertices: usize, edges: &[Edge]) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::Pcg32;
+
+    /// The straightforward build: tuple pairs, one interleaved scatter of
+    /// both directions, then a sort of every list. The differential test
+    /// holds [`GraphBuilder::build`] to its output byte for byte.
+    fn reference_build(num_vertices: usize, raw: &[Edge]) -> CsrGraph {
+        let mut n = num_vertices;
+        let mut edges: Vec<Edge> = Vec::with_capacity(raw.len());
+        for &(u, v) in raw {
+            n = n.max(u as usize + 1).max(v as usize + 1);
+            edges.push(if u <= v { (u, v) } else { (v, u) });
+        }
+        edges.retain(|&(u, v)| u != v);
+        edges.sort_unstable();
+        edges.dedup();
+
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut adj = vec![0 as Vertex; edges.len() * 2];
+        for &(u, v) in &edges {
+            adj[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+            adj[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+        }
+        for v in 0..n {
+            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        CsrGraph::from_parts_unchecked(offsets, adj)
+    }
+
+    /// A seeded dirty edge list over `0..span`: self-loops, duplicates in
+    /// both orientations, and endpoints drawn from a narrow range so that
+    /// lists collide often.
+    fn dirty_edges(span: u32, m: usize, rng: &mut Pcg32) -> Vec<Edge> {
+        let mut edges: Vec<Edge> = Vec::with_capacity(m);
+        while edges.len() < m {
+            let u = rng.below(span);
+            match rng.below(8) {
+                0 => edges.push((u, u)),
+                1 if !edges.is_empty() => {
+                    let (a, b) = edges[rng.below_usize(edges.len())];
+                    edges.push((b, a));
+                }
+                2 if !edges.is_empty() => {
+                    let e = edges[rng.below_usize(edges.len())];
+                    edges.push(e);
+                }
+                _ => edges.push((u, rng.below(span))),
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn build_matches_reference_on_dirty_edge_lists() {
+        let mut rng = Pcg32::new(0xB111D);
+        for &(span, m) in &[
+            (1u32, 0usize),
+            (1, 5),
+            (2, 7),
+            (5, 40),
+            (64, 300),
+            (1000, 4000),
+            (1 << 20, 5000),
+        ] {
+            for trailing in [0usize, 1, 17] {
+                let edges = dirty_edges(span, m, &mut rng);
+                let declared = if m == 0 {
+                    trailing
+                } else {
+                    trailing + span as usize
+                };
+                let got = from_edges(declared, &edges);
+                let want = reference_build(declared, &edges);
+                assert_eq!(
+                    (got.offsets(), got.adjacency()),
+                    (want.offsets(), want.adjacency()),
+                    "span {span}, {m} raw edges, {trailing} trailing isolated"
+                );
+            }
+        }
+    }
 
     #[test]
     fn dedup_and_loops() {

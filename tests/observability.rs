@@ -91,7 +91,8 @@ fn chrome_trace_round_trips_the_span_tree() {
     assert!(summary.spans > 0, "no spans recorded");
 
     // One kernel span per launched kernel, on the simulated-cycle track,
-    // carrying the cycle breakdown and contention counters as args.
+    // carrying the cycle breakdown, contention counters and the launch's
+    // host wall time as args.
     let kernel_spans: Vec<_> = parsed.iter().filter(|e| e.cat == "kernel").collect();
     assert_eq!(kernel_spans.len(), s.kernels.len());
     for (span, k) in kernel_spans.iter().zip(&s.kernels) {
@@ -103,6 +104,7 @@ fn chrome_trace_round_trips_the_span_tree() {
             "dram_cycles",
             "cas_attempts",
             "warp_occupancy",
+            "host_ns",
         ] {
             assert!(
                 span.args.iter().any(|(n, _)| n == key),
@@ -125,8 +127,8 @@ fn chrome_trace_round_trips_the_span_tree() {
 }
 
 /// For a data-independent kernel (shared reads, disjoint writes) the
-/// recorded metric totals must not depend on the execution mode or the
-/// host worker count.
+/// recorded metric totals, all but the host wall time `sim.host_ns`, must
+/// not depend on the execution mode or the host worker count.
 #[test]
 fn host_parallel_metric_totals_deterministic_across_workers() {
     const N: usize = 4096;
@@ -144,7 +146,14 @@ fn host_parallel_metric_totals_deterministic_across_workers() {
             w.store(dst, &ids, &vals.map(|x| x.wrapping_mul(3)), m);
         })
         .expect("clean launch");
-        rec.metrics()
+        // Host wall time is recorded beside the simulated totals but is
+        // not a function of the kernel; everything else must be.
+        let mut metrics = rec.metrics();
+        assert!(
+            metrics.remove("sim.host_ns").is_some(),
+            "sim.host_ns missing"
+        );
+        metrics
     };
 
     let reference = run_one(ExecMode::Serial);
