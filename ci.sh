@@ -92,39 +92,43 @@ for run in deadgpu sharded; do
 done
 echo "    dead-GPU and sharded-chaos batches byte-identical"
 
-echo "==> serial vs host-parallel equivalence smoke"
-# The same graph labeled with the simulator serial and host-parallel
-# (--sim-workers 0 = one per core); certified labels must be
-# byte-identical between the modes.
-"$ECL" generate rmat16.sym -o "$BATCH_DIR/eq.ecl" --scale tiny > /dev/null
-"$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu \
-    --labels "$BATCH_DIR/serial.labels" > /dev/null
-"$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --sim-workers 0 \
-    --labels "$BATCH_DIR/parallel.labels" > /dev/null
-cmp -s "$BATCH_DIR/serial.labels" "$BATCH_DIR/parallel.labels" \
-    || { echo "host-parallel labels differ from serial"; exit 1; }
-# And under fault injection, where interleavings diverge the most.
-"$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --fault-plan everything:7 \
-    --labels "$BATCH_DIR/serial-fault.labels" > /dev/null
-"$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --fault-plan everything:7 \
-    --sim-workers 3 --labels "$BATCH_DIR/parallel-fault.labels" > /dev/null
-cmp -s "$BATCH_DIR/serial-fault.labels" "$BATCH_DIR/parallel-fault.labels" \
-    || { echo "host-parallel labels differ from serial under faults"; exit 1; }
-echo "    serial and host-parallel labels byte-identical"
-
 echo "==> unknown CLI flags are rejected"
-# A flag the subcommand's usage does not list (a typo, or --sched) must
-# fail loudly instead of silently running with defaults.
+# A flag the subcommand's usage does not list (a typo, --sched, or the
+# retired --sim-workers) must fail loudly instead of silently running
+# with defaults.
+"$ECL" generate rmat16.sym -o "$BATCH_DIR/eq.ecl" --scale tiny > /dev/null
+reject_flag() { # expected-message command...
+    local want=$1
+    shift
+    set +e
+    "$@" > /dev/null 2> "$BATCH_DIR/flag.err"
+    FLAG_STATUS=$?
+    set -e
+    [ "$FLAG_STATUS" -eq 1 ] \
+        || { echo "$want: exited $FLAG_STATUS, expected 1"; exit 1; }
+    grep -q "$want" "$BATCH_DIR/flag.err" \
+        || { echo "missing error: $want"; cat "$BATCH_DIR/flag.err"; exit 1; }
+}
+reject_flag "unknown flag '--sched' for components" \
+    "$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --sched static
+reject_flag "unknown flag '--sim-workers' for components" \
+    "$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --sim-workers 2
+reject_flag "unknown flag '--sim-workers' for batch" \
+    "$ECL" batch --jobs "$BATCH_DIR/jobs.txt" --sim-workers 2
+# The harness reads any other argument as an experiment name, and checks
+# every name before it runs anything.
 set +e
-"$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --sim-workers 3 \
-    --sched static > /dev/null 2> "$BATCH_DIR/flag.err"
-FLAG_STATUS=$?
+./target/release/harness table5 --exec parallel \
+    > "$BATCH_DIR/harness-exec.out" 2> "$BATCH_DIR/harness-exec.err"
+EXEC_STATUS=$?
 set -e
-[ "$FLAG_STATUS" -eq 1 ] \
-    || { echo "--sched static exited $FLAG_STATUS, expected 1"; exit 1; }
-grep -q "unknown flag '--sched' for components" "$BATCH_DIR/flag.err" \
-    || { echo "--sched static: missing unknown-flag error"; exit 1; }
-echo "    --sched static rejected (exit 1)"
+[ "$EXEC_STATUS" -eq 2 ] \
+    || { echo "harness --exec exited $EXEC_STATUS, expected 2"; exit 1; }
+grep -q "unknown experiment '--exec'" "$BATCH_DIR/harness-exec.err" \
+    || { echo "harness --exec: missing unknown-experiment error"; exit 1; }
+[ ! -s "$BATCH_DIR/harness-exec.out" ] \
+    || { echo "harness --exec ran an experiment before rejecting it"; exit 1; }
+echo "    --sched and --sim-workers rejected (exit 1); harness --exec rejected (exit 2)"
 
 echo "==> union-find clients"
 # Clients of the one union-find: `compare` runs every CC algorithm (the
@@ -179,13 +183,12 @@ if [ -e "$BATCH_DIR/wit-pinned.err" ]; then
 fi
 echo "    clean labels certify; late-chunk witness identical across runs: ${PINS[*]}"
 
-echo "==> execution-mode equivalence suite"
-# The golden determinism contract: serial cycle counts and per-level
-# cache stats pinned bit-for-bit, host-parallel labels byte-identical to
-# serial across worker counts and fault plans. (Also covered by the full
-# `cargo test` above; run explicitly so a failure names the contract.)
+echo "==> simulator timing record"
+# The golden determinism contract: cycle counts and per-level cache
+# stats pinned bit-for-bit. (Also covered by the full `cargo test`
+# above; run explicitly so a failure names the contract.)
 cargo test -q --offline --test exec_equivalence > /dev/null
-echo "    equivalence suite green"
+echo "    timing-record suite green"
 
 echo "==> observability: profile artifacts + recorder-off equivalence"
 # The profile subcommand must emit a schema-valid Chrome trace and
@@ -204,50 +207,6 @@ grep -q '"schema":"ecl-trace-v1"' "$BATCH_DIR/profile_trace.json" \
 cargo test -q --offline --test observability > /dev/null
 echo "    profile artifacts schema-valid; recording is observation-only"
 
-echo "==> simspeed self-timing"
-# Wall-clock of the simulator itself, serial vs a host-parallel worker
-# matrix; the experiment asserts byte-identical certified labels
-# internally, and each record carries speedup_vs_serial plus
-# sim_edges_per_sec.
-./target/release/harness simspeed --scale tiny \
-    --json BENCH_simspeed.json > /dev/null
-grep -q '"experiment":"simspeed"' BENCH_simspeed.json \
-    || { echo "BENCH_simspeed.json missing simspeed records"; exit 1; }
-grep -q '"code":"sim-parallel:4"' BENCH_simspeed.json \
-    || { echo "simspeed records missing the parallel:4 record"; exit 1; }
-# Scaling gate, adaptive to the host's core count. The simulator
-# multiplexes workers onto real cores, so scaling expectations only make
-# sense where the cores exist:
-#   >= 8 cores: on the two largest quick graphs, parallel:4 must beat
-#               serial by >= 1.2x and parallel:8 must not regress below
-#               parallel:4 (beyond 10% timer noise).
-#   <  8 cores: parity gate — parallel:4 must stay within 15% of serial
-#               (scheduler + pool overhead bound; there is nothing to
-#               scale onto).
-speedup_of() { # graph code -> speedup_vs_serial
-    grep "\"graph\":\"$1\",\"code\":\"$2\"" BENCH_simspeed.json \
-        | grep -o '"speedup_vs_serial":[0-9.]*' | cut -d: -f2
-}
-CORES=$(nproc 2>/dev/null || echo 1)
-for G in rmat16.sym soc-LiveJournal1; do
-    S4=$(speedup_of "$G" "sim-parallel:4")
-    S8=$(speedup_of "$G" "sim-parallel:8")
-    [ -n "$S4" ] && [ -n "$S8" ] \
-        || { echo "missing parallel:4/parallel:8 records for $G"; exit 1; }
-    if [ "$CORES" -ge 8 ]; then
-        awk -v s="$S4" 'BEGIN { exit !(s >= 1.2) }' \
-            || { echo "$G: parallel:4 speedup ${S4}x < 1.2x on a ${CORES}-core host"; exit 1; }
-        awk -v a="$S8" -v b="$S4" 'BEGIN { exit !(a >= 0.9 * b) }' \
-            || { echo "$G: parallel:8 (${S8}x) regressed below parallel:4 (${S4}x)"; exit 1; }
-        echo "    $G: parallel:4 ${S4}x, parallel:8 ${S8}x (scaling gate, ${CORES} cores)"
-    else
-        awk -v s="$S4" 'BEGIN { exit !(s >= 0.85) }' \
-            || { echo "$G: parallel:4 fell behind serial beyond tolerance (${S4}x < 0.85x)"; exit 1; }
-        echo "    $G: parallel:4 ${S4}x (parity gate; only ${CORES} core(s), scaling not measurable)"
-    fi
-done
-echo "    simspeed matrix written to BENCH_simspeed.json"
-
 echo "==> serve: chaos + SIGKILL/resume smoke"
 # The TCP server under concurrent load, a seeded chaos wave (truncated
 # frames, stalls, disconnects, malformed/oversized lines), then a real
@@ -256,11 +215,16 @@ echo "==> serve: chaos + SIGKILL/resume smoke"
 # clean, and the server logs contain zero panics; the grep pins the
 # greppable fields the acceptance gate names.
 ./target/release/harness serve --scale tiny \
-    --json BENCH_serve.json > /dev/null
-grep -q '"resume_verified":true' BENCH_serve.json \
+    --json "$BATCH_DIR/serve_ci.json" > /dev/null
+grep -q '"resume_verified":true' "$BATCH_DIR/serve_ci.json" \
     || { echo "serve: acked edges lost across SIGKILL/resume"; exit 1; }
-grep -q '"server_panics":0' BENCH_serve.json \
+grep -q '"server_panics":0' "$BATCH_DIR/serve_ci.json" \
     || { echo "serve: server panicked under chaos load"; exit 1; }
+# The committed artifact must carry the same fields.
+for KEY in '"resume_verified":true' '"server_panics":0'; do
+    grep -q "$KEY" BENCH_serve.json \
+        || { echo "committed BENCH_serve.json missing $KEY"; exit 1; }
+done
 echo "    serve survived chaos + SIGKILL; all acked edges recovered"
 
 echo "==> sharded vs serial byte-equality"

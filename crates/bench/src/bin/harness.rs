@@ -2,13 +2,11 @@
 //!
 //! ```text
 //! harness [EXPERIMENT ...] [--scale tiny|bench|large] [--threads N]
-//!         [--verify] [--json FILE] [--exec serial|parallel[:N]]
-//!         [--trace FILE]
+//!         [--verify] [--json FILE] [--trace FILE]
 //!
 //! Experiments:
 //!   table2  fig7  fig8  table3  table4  fig9  fig10
 //!   table5  table6  table7  table8  table9  table10  fig17
-//!   simspeed    (simulator wall-clock: serial vs host-parallel matrix)
 //!   micro       (simulator hot-path microbenchmarks)
 //!   serve       (TCP server load + chaos + SIGKILL/resume; writes
 //!                BENCH_serve.json or the --json path; --fault-plan
@@ -28,18 +26,12 @@
 //!   all         (everything)
 //! ```
 //!
-//! `--exec parallel[:N]` runs GPU experiments with the simulator in
-//! host-parallel mode (N worker threads, 0/omitted = one per core):
-//! labels stay certified-identical but cycle-derived "ms" become
-//! interleaving-dependent, so recorded timing tables should be produced
-//! with the default `--exec serial`.
-//!
 //! Absolute GPU numbers are simulated cycles converted at the device
 //! clock; CPU numbers are host wall-clock. The paper's figures are all
 //! *normalized* ratios, which is what these tables reproduce.
 
 use ecl_bench::experiments as exp;
-use ecl_gpu_sim::{DeviceProfile, ExecMode};
+use ecl_gpu_sim::DeviceProfile;
 use ecl_graph::catalog::Scale;
 
 fn main() {
@@ -50,7 +42,6 @@ fn main() {
     let mut verify = false;
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut exec = ExecMode::Serial;
     let mut fault_plan = ecl_gpu_sim::FaultPlan::serve_chaos(1);
 
     let mut it = args.iter();
@@ -75,21 +66,6 @@ fn main() {
                 }
             }
             "--verify" => verify = true,
-            "--exec" => {
-                exec = match it.next() {
-                    Some(spec) => match ExecMode::parse(spec) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            eprintln!("--exec: {e}");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("--exec needs serial|parallel[:N]");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--json" => {
                 json_path = it.next().cloned();
                 if json_path.is_none() {
@@ -123,20 +99,15 @@ fn main() {
                 println!(
                     "usage: harness [EXPERIMENT ...] [--scale tiny|bench|large] [--threads N]"
                 );
-                println!(
-                    "               [--verify] [--json FILE] [--exec serial|parallel[:N]] \
-                     [--trace FILE]"
-                );
+                println!("               [--verify] [--json FILE] [--trace FILE]");
                 println!(
                     "experiments: table1 table2 fig7 fig8 table3 table4 fig9 fig10 table5 table6"
                 );
                 println!(
-                    "             table7 table8 table9 table10 fig17 ordering simspeed micro \
+                    "             table7 table8 table9 table10 fig17 ordering micro \
                      serve sharded adaptive telemetry internals all"
                 );
                 println!("--fault-plan SPEC seeds the serve chaos mix (default serve-chaos:1)");
-                println!("--exec parallel[:N] runs GPU experiments host-parallel (0 = per core);");
-                println!("         timing tables should keep the default serial mode");
                 println!("--verify certifies every code's labels with the independent checker");
                 println!("         (outside the timed region) and emits JSON records; --json");
                 println!("         chooses the output file (default bench-verify.json)");
@@ -185,7 +156,6 @@ fn main() {
             "fig17" => vec!["fig17"],
             "ordering" => vec!["ordering"],
             "batch" => vec!["batch"],
-            "simspeed" => vec!["simspeed"],
             "serve" => vec!["serve"],
             "sharded" => vec!["sharded"],
             "adaptive" => vec!["adaptive"],
@@ -217,15 +187,15 @@ fn main() {
             "table4" => exp::table4(scale, &titan),
             "fig9" => exp::fig9(scale, &titan),
             "fig10" => exp::fig10(scale, &titan),
-            "table5" => exp::gpu_comparison(scale, &titan, exec),
-            "table6" => exp::gpu_comparison(scale, &k40, exec),
+            "table5" => exp::gpu_comparison(scale, &titan),
+            "table6" => exp::gpu_comparison(scale, &k40),
             "table7" => exp::cpu_parallel_comparison(scale, t_big, "Table 7 / Fig. 13"),
             "table8" => exp::cpu_parallel_comparison(scale, t_small, "Table 8 / Fig. 14"),
             "table9" => exp::serial_comparison(scale, "Table 9 / Fig. 15"),
             "table10" => {
                 exp::serial_comparison(scale, "Table 10 / Fig. 16 (same host; see EXPERIMENTS.md)")
             }
-            "fig17" => exp::fig17(scale, t_big, exec),
+            "fig17" => exp::fig17(scale, t_big),
             "ordering" => exp::ordering(scale, &titan),
             "batch" => records.extend(exp::batch_throughput(t_big)),
             "micro" => records.extend(ecl_bench::microbench::hot_paths()),
@@ -258,13 +228,6 @@ fn main() {
                 ecl_bench::telemetry_bench::telemetry(path);
                 json_consumed = true;
             }
-            "simspeed" => records.extend(exp::simspeed(
-                scale,
-                match exec {
-                    ExecMode::HostParallel(n) => n,
-                    ExecMode::Serial => 0,
-                },
-            )),
             _ => unreachable!(),
         }
         if let (Some(r), Some(start)) = (&recorder, span_start) {
@@ -277,17 +240,13 @@ fn main() {
                     start,
                     r.now_us().saturating_sub(start),
                 )
-                .arg_str("scale", &format!("{scale:?}"))
-                .arg_str("exec", &exec.describe()),
+                .arg_str("scale", &format!("{scale:?}")),
             );
         }
     }
 
     if let (Some(path), Some(r)) = (&trace_path, &recorder) {
-        let md = [
-            ("tool".to_string(), "harness".to_string()),
-            ("exec".to_string(), exec.describe()),
-        ];
+        let md = [("tool".to_string(), "harness".to_string())];
         if let Err(e) = std::fs::write(path, r.chrome_trace_json(&md)) {
             eprintln!("error writing trace {path}: {e}");
             std::process::exit(1);
@@ -299,7 +258,7 @@ fn main() {
     // runs the certification sweep; `--json` writes whatever records the
     // selected experiments produced.
     if verify || (json_path.is_some() && records.is_empty() && !json_consumed) {
-        records.extend(exp::verify_sweep(scale, t_big, &titan, exec));
+        records.extend(exp::verify_sweep(scale, t_big, &titan));
     }
     if (verify || (json_path.is_some() && !json_consumed)) && !records.is_empty() {
         let path = json_path.unwrap_or_else(|| "bench-verify.json".to_string());

@@ -3,12 +3,10 @@
 //! run against the paper's numbers.
 
 use crate::report::{BenchRecord, VerifyOutcome};
-use crate::runners::{
-    run_gpu_code, try_run_gpu_code, CertifiedGpuRun, CPU_PAR_CODES, GPU_CODES, SERIAL_CODES,
-};
+use crate::runners::{run_gpu_code, try_run_gpu_code, CPU_PAR_CODES, GPU_CODES, SERIAL_CODES};
 use crate::{geomean, median_time_ms, paper_graphs, print_table};
 use ecl_cc::{EclConfig, FiniKind, InitKind, JumpKind};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
+use ecl_gpu_sim::{DeviceProfile, Gpu};
 use ecl_graph::catalog::Scale;
 use ecl_graph::CsrGraph;
 
@@ -376,14 +374,14 @@ pub fn fig10(scale: Scale, profile: &DeviceProfile) {
 
 /// Tables 5/6 + Figs. 11/12: absolute simulated runtimes of the five GPU
 /// codes, plus each baseline's slowdown relative to ECL-CC.
-pub fn gpu_comparison(scale: Scale, profile: &DeviceProfile, exec: ExecMode) {
+pub fn gpu_comparison(scale: Scale, profile: &DeviceProfile) {
     let graphs = paper_graphs(scale);
     let mut rows = Vec::new();
     let mut rel: Vec<Vec<f64>> = vec![Vec::new(); GPU_CODES.len() - 1];
     for (name, g) in &graphs {
         let times: Vec<f64> = GPU_CODES
             .iter()
-            .map(|&(_, r)| run_gpu_code(r, profile, g, exec))
+            .map(|&(_, r)| run_gpu_code(r, profile, g))
             .collect();
         let mut row = vec![name.to_string()];
         for &t in &times {
@@ -593,14 +591,14 @@ pub fn ordering(scale: Scale, profile: &DeviceProfile) {
 /// converted at the device clock while CPU times are host wall-clock, so
 /// the *cross-family* ratios mix a simulator with real silicon. Ratios
 /// within each family are directly comparable.
-pub fn fig17(scale: Scale, threads: usize, exec: ExecMode) {
+pub fn fig17(scale: Scale, threads: usize) {
     let graphs = paper_graphs(scale);
     let titan = DeviceProfile::titan_x();
 
     // Per-graph baseline: GPU ECL-CC simulated ms.
     let base: Vec<f64> = graphs
         .iter()
-        .map(|(_, g)| run_gpu_code(GPU_CODES[0].1, &titan, g, exec))
+        .map(|(_, g)| run_gpu_code(GPU_CODES[0].1, &titan, g))
         .collect();
 
     // Each entry holds per-graph ratios to the baseline, aligned by graph
@@ -611,7 +609,7 @@ pub fn fig17(scale: Scale, threads: usize, exec: ExecMode) {
         let ratios: Vec<f64> = graphs
             .iter()
             .enumerate()
-            .map(|(i, (_, g))| run_gpu_code(r, &titan, g, exec) / base[i])
+            .map(|(i, (_, g))| run_gpu_code(r, &titan, g) / base[i])
             .collect();
         entries.push((format!("GPU {name}"), ratios));
     }
@@ -657,12 +655,7 @@ pub fn fig17(scale: Scale, threads: usize, exec: ExecMode) {
 /// quick graph set, certifies each labeling with the independent checker
 /// *outside* the timed region, and returns machine-readable records for
 /// JSON emission. Prints a summary table as it goes.
-pub fn verify_sweep(
-    scale: Scale,
-    threads: usize,
-    profile: &DeviceProfile,
-    exec: ExecMode,
-) -> Vec<BenchRecord> {
+pub fn verify_sweep(scale: Scale, threads: usize, profile: &DeviceProfile) -> Vec<BenchRecord> {
     let graphs = crate::quick_graphs(scale);
     let mut records = Vec::new();
     let mut rows = Vec::new();
@@ -696,11 +689,6 @@ pub fn verify_sweep(
             } else {
                 "host".into()
             },
-            exec: if simulated {
-                exec.describe()
-            } else {
-                "host".into()
-            },
             ..Default::default()
         });
     };
@@ -720,7 +708,7 @@ pub fn verify_sweep(
 
     for (gname, g) in &graphs {
         for &(cname, r) in &GPU_CODES {
-            match try_run_gpu_code(r, profile, g, exec) {
+            match try_run_gpu_code(r, profile, g) {
                 Ok(run) => push(
                     &mut records,
                     &mut rows,
@@ -789,111 +777,6 @@ pub fn verify_sweep(
     records
 }
 
-/// `simspeed` experiment: wall-clock self-timing of the *simulator* —
-/// GPU ECL-CC executed serially and host-parallel at a matrix of worker
-/// counts ({1, 2, 4, 8}, plus the explicitly requested count when it is
-/// not already in the matrix; `workers = 0` just means "the matrix").
-/// Every host-parallel labeling is compared byte-for-byte against the
-/// serial labeling and certified by the independent checker, so the
-/// reported speedups only cover runs proven equivalent. Times are host
-/// milliseconds (this measures the simulator, not the modeled GPU), and
-/// each record also carries simulated-edges-per-wall-second — the
-/// throughput metric that makes runs comparable across graph sizes. On a
-/// single-core host expect speedups ≈ 1 at best: the parallel engine
-/// multiplexes workers onto the available cores, so the matrix measures
-/// its overhead there, and its scaling on multi-core hosts.
-pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
-    let graphs = crate::quick_graphs(scale);
-    let profile = DeviceProfile::titan_x();
-    let mut matrix: Vec<usize> = vec![1, 2, 4, 8];
-    if workers != 0 && !matrix.contains(&workers) {
-        matrix.push(workers);
-        matrix.sort_unstable();
-    }
-    let mut records = Vec::new();
-    let mut rows = Vec::new();
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); matrix.len()];
-
-    for (gname, g) in &graphs {
-        // Best-of-3 per mode: simulator wall-clock is noisy on a shared
-        // host, and the fastest run is the least-perturbed one.
-        let best = |exec: ExecMode| -> CertifiedGpuRun {
-            let mut runs: Vec<CertifiedGpuRun> = (0..3)
-                .map(|_| {
-                    try_run_gpu_code(GPU_CODES[0].1, &profile, g, exec)
-                        .expect("ECL-CC must certify in every exec mode")
-                })
-                .collect();
-            runs.sort_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
-            runs.remove(0)
-        };
-        let edges_per_sec = |wall_ms: f64| g.num_edges() as f64 / (wall_ms.max(1e-9) / 1e3);
-
-        let serial = best(ExecMode::Serial);
-        let mut row = vec![gname.to_string(), format!("{:.2}", serial.wall_ms)];
-        records.push(BenchRecord {
-            experiment: "simspeed".into(),
-            graph: gname.to_string(),
-            code: "sim-serial".into(),
-            time_ms: serial.wall_ms,
-            simulated: false,
-            verified: Some(VerifyOutcome {
-                pass: true,
-                components: serial.certificate.num_components,
-                detail: String::new(),
-            }),
-            speedup_vs_serial: None,
-            sim_edges_per_sec: Some(edges_per_sec(serial.wall_ms)),
-            device: profile.name.to_string(),
-            exec: ExecMode::Serial.describe(),
-        });
-
-        for (wi, &w) in matrix.iter().enumerate() {
-            // Labels must match serial byte for byte — that equality is
-            // the host-parallel scheduler's correctness gate.
-            let par = best(ExecMode::HostParallel(w));
-            assert_eq!(
-                par.labels, serial.labels,
-                "{gname}: host-parallel:{w} labels diverged from serial"
-            );
-            let speedup = serial.wall_ms / par.wall_ms.max(1e-9);
-            speedups[wi].push(speedup);
-            row.push(format!("{:.2} ({speedup:.2}x)", par.wall_ms));
-            records.push(BenchRecord {
-                experiment: "simspeed".into(),
-                graph: gname.to_string(),
-                code: format!("sim-parallel:{w}"),
-                time_ms: par.wall_ms,
-                simulated: false,
-                verified: Some(VerifyOutcome {
-                    pass: true,
-                    components: par.certificate.num_components,
-                    detail: String::new(),
-                }),
-                speedup_vs_serial: Some(speedup),
-                sim_edges_per_sec: Some(edges_per_sec(par.wall_ms)),
-                device: profile.name.to_string(),
-                exec: ExecMode::HostParallel(w).describe(),
-            });
-        }
-        rows.push(row);
-    }
-
-    let mut tail = vec!["geomean".into(), String::new()];
-    tail.extend(speedups.iter().map(|s| format!("{:.2}x", geomean(s))));
-    rows.push(tail);
-    let mut header: Vec<String> = vec!["Graph".into(), "serial ms".into()];
-    header.extend(matrix.iter().map(|w| format!("par:{w} ms")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    print_table(
-        "simspeed — simulator wall-clock, serial vs host-parallel worker \
-         matrix, labels certified identical",
-        &header_refs,
-        &rows,
-    );
-    records
-}
-
 /// `batch` experiment: throughput of the fault-tolerant batch engine at
 /// several worker counts, on a fixed deterministic job mix, plus one
 /// degraded configuration where the simulated GPU is dead (1-cycle
@@ -947,7 +830,6 @@ pub fn batch_throughput(threads: usize) -> Vec<BenchRecord> {
             simulated: false,
             verified: None,
             device: cfg.ladder.profile.name.to_string(),
-            exec: cfg.ladder.exec.describe(),
             ..Default::default()
         });
     };

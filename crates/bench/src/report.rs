@@ -35,17 +35,14 @@ pub struct BenchRecord {
     pub simulated: bool,
     /// Certification outcome; `None` when the run was not verified.
     pub verified: Option<VerifyOutcome>,
-    /// Wall-clock speedup of this run over the matching serial-mode run
-    /// (simspeed experiment only; omitted from the JSON when `None`).
+    /// Wall-clock speedup of this run over a matching reference run
+    /// (omitted from the JSON when `None`).
     pub speedup_vs_serial: Option<f64>,
     /// Simulated edges processed per host wall-clock second — the
     /// simulator-throughput metric (omitted from the JSON when `None`).
     pub sim_edges_per_sec: Option<f64>,
     /// Device profile name for simulated runs (`"host"` for CPU codes).
     pub device: String,
-    /// Execution mode the simulator ran under (`"serial"`,
-    /// `"parallel:N"`; `"host"` for CPU codes).
-    pub exec: String,
 }
 
 /// Escapes a string for inclusion in a JSON string literal. Delegates to
@@ -81,13 +78,12 @@ impl BenchRecord {
         }
         format!(
             "{{\"experiment\":\"{}\",\"graph\":\"{}\",\"code\":\"{}\",\
-             \"device\":\"{}\",\"exec\":\"{}\",\
+             \"device\":\"{}\",\
              \"time_ms\":{},\"simulated\":{},\"verified\":{}{}}}",
             json_escape(&self.experiment),
             json_escape(&self.graph),
             json_escape(&self.code),
             json_escape(&self.device),
-            json_escape(&self.exec),
             json_f64(self.time_ms),
             self.simulated,
             verified,
@@ -139,7 +135,6 @@ mod tests {
             speedup_vs_serial: None,
             sim_edges_per_sec: None,
             device: "titan-x".into(),
-            exec: "serial".into(),
         }
     }
 
@@ -157,7 +152,6 @@ mod tests {
         assert!(j.contains("\"pass\":true"));
         assert!(j.contains("\"components\":7"));
         assert!(j.contains("\"device\":\"titan-x\""));
-        assert!(j.contains("\"exec\":\"serial\""));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! drivers can iterate over codes by name.
 
 use ecl_cc::{CcResult, EclConfig};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
+use ecl_gpu_sim::{DeviceProfile, Gpu};
 use ecl_graph::CsrGraph;
 
 /// One GPU code: returns the labeling and total simulated cycles.
@@ -48,16 +48,8 @@ pub const GPU_CODES: [(&str, GpuRunner); 5] = [
 
 /// A timed and certified GPU run.
 pub struct CertifiedGpuRun {
-    /// Simulated pseudo-milliseconds. In [`ExecMode::HostParallel`] the
-    /// cycle count depends on thread interleaving, so this is indicative
-    /// only; serial-mode values are deterministic.
+    /// Simulated pseudo-milliseconds (deterministic).
     pub ms: f64,
-    /// Host wall-clock milliseconds spent simulating (what the
-    /// `simspeed` experiment compares across exec modes).
-    pub wall_ms: f64,
-    /// The labeling itself, kept so equivalence experiments can compare
-    /// exec modes byte for byte.
-    pub labels: Vec<u32>,
     /// Certificate from the independent checker (issued *outside* the
     /// timed region — certification never contributes to `ms`).
     pub certificate: ecl_verify::Certificate,
@@ -71,32 +63,21 @@ pub fn try_run_gpu_code(
     runner: GpuRunner,
     profile: &DeviceProfile,
     g: &CsrGraph,
-    exec: ExecMode,
 ) -> Result<CertifiedGpuRun, String> {
     let mut gpu = Gpu::new(profile.clone());
-    gpu.set_exec_mode(exec);
-    let wall = std::time::Instant::now();
     let (r, cycles) = runner(&mut gpu, g);
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     let certificate = ecl_verify::certify(g, &r.labels)
         .map_err(|e| format!("GPU code produced a wrong labeling: {e}"))?;
     Ok(CertifiedGpuRun {
         ms: profile.cycles_to_ms(cycles),
-        wall_ms,
-        labels: r.labels,
         certificate,
     })
 }
 
 /// Infallible convenience wrapper around [`try_run_gpu_code`] for the
 /// experiment drivers, which treat a wrong labeling as fatal.
-pub fn run_gpu_code(
-    runner: GpuRunner,
-    profile: &DeviceProfile,
-    g: &CsrGraph,
-    exec: ExecMode,
-) -> f64 {
-    match try_run_gpu_code(runner, profile, g, exec) {
+pub fn run_gpu_code(runner: GpuRunner, profile: &DeviceProfile, g: &CsrGraph) -> f64 {
+    match try_run_gpu_code(runner, profile, g) {
         Ok(run) => run.ms,
         Err(e) => panic!("{e}"),
     }
@@ -173,24 +154,8 @@ mod tests {
     fn every_gpu_code_runs_and_verifies() {
         let g = generate::gnm_random(200, 500, 1);
         for (name, r) in GPU_CODES {
-            let ms = run_gpu_code(r, &DeviceProfile::test_tiny(), &g, ExecMode::Serial);
+            let ms = run_gpu_code(r, &DeviceProfile::test_tiny(), &g);
             assert!(ms > 0.0, "{name}");
-        }
-    }
-
-    #[test]
-    fn ecl_labels_identical_across_exec_modes() {
-        let g = generate::gnm_random(300, 900, 4);
-        let profile = DeviceProfile::test_tiny();
-        let serial = try_run_gpu_code(gpu_ecl, &profile, &g, ExecMode::Serial).unwrap();
-        for workers in [1, 2, 4] {
-            let par =
-                try_run_gpu_code(gpu_ecl, &profile, &g, ExecMode::HostParallel(workers)).unwrap();
-            assert_eq!(par.labels, serial.labels, "workers={workers}");
-            assert_eq!(
-                par.certificate.num_components,
-                serial.certificate.num_components
-            );
         }
     }
 

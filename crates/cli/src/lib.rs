@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use ecl_cc::{CcResult, EclConfig, SamplingConfig};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
+use ecl_gpu_sim::{DeviceProfile, FaultPlan, Gpu};
 use ecl_graph::{io, CsrGraph};
 use std::path::Path;
 
@@ -154,13 +154,11 @@ pub const ALGORITHMS: &[&str] = &[
 
 /// Runs the named algorithm; `Err` on unknown names or refusals.
 pub fn run_algorithm(name: &str, g: &CsrGraph, threads: usize) -> Result<CcResult, String> {
-    run_algorithm_cfg(name, g, threads, ExecMode::Serial, None)
+    run_algorithm_cfg(name, g, threads, None)
 }
 
-/// [`run_algorithm`] with an explicit GPU-simulator execution mode and an
-/// optional adaptive-sampling configuration. Non-GPU algorithms ignore
-/// `exec`; GPU baselines stay serial (their per-kernel timing is the
-/// point of running them). Sampling applies to the three ECL-CC
+/// [`run_algorithm`] with an optional adaptive-sampling configuration.
+/// Sampling applies to the three ECL-CC
 /// implementations (`serial`, `parallel`, `gpu`); requesting it with a
 /// baseline algorithm is an error — the baselines have no sampling
 /// variant, and silently ignoring the flag would invalidate comparisons.
@@ -170,7 +168,6 @@ pub fn run_algorithm_cfg(
     name: &str,
     g: &CsrGraph,
     threads: usize,
-    exec: ExecMode,
     sampling: Option<SamplingConfig>,
 ) -> Result<CcResult, String> {
     if sampling.is_some() && !matches!(name, "serial" | "parallel" | "gpu") {
@@ -191,7 +188,6 @@ pub fn run_algorithm_cfg(
         "parallel" => ecl_cc::parallel::run(g, threads, &cfg),
         "gpu" => {
             let mut gpu = Gpu::new(DeviceProfile::titan_x());
-            gpu.set_exec_mode(exec);
             ecl_cc::gpu::run(&mut gpu, g, &cfg).0
         }
         "soman" => gpu_run(ecl_baselines::gpu::soman::run),
@@ -234,7 +230,6 @@ pub fn run_ladder_obs(
     threads: usize,
     watchdog: Option<u64>,
     fault: FaultPlan,
-    exec: ExecMode,
     recorder: Option<ecl_obs::Recorder>,
     sampling: Option<SamplingConfig>,
 ) -> Result<ecl_cc::LadderOutcome, String> {
@@ -246,7 +241,6 @@ pub fn run_ladder_obs(
         threads,
         watchdog,
         fault,
-        exec,
         profile: DeviceProfile::titan_x(),
         recorder,
         ..ecl_cc::LadderConfig::default()
@@ -265,7 +259,6 @@ pub fn run_sharded_obs(
     threads: usize,
     watchdog: Option<u64>,
     fault: FaultPlan,
-    exec: ExecMode,
     checkpoint_dir: Option<std::path::PathBuf>,
     crash_budget: u32,
     recorder: Option<ecl_obs::Recorder>,
@@ -281,7 +274,6 @@ pub fn run_sharded_obs(
             threads,
             watchdog,
             fault,
-            exec,
             profile: DeviceProfile::titan_x(),
             recorder,
             ..ecl_cc::LadderConfig::default()
@@ -301,7 +293,6 @@ pub fn run_gpu_observed(
     g: &CsrGraph,
     fault: FaultPlan,
     watchdog: Option<u64>,
-    exec: ExecMode,
     record_paths: bool,
     recorder: Option<ecl_obs::Recorder>,
     sampling: Option<SamplingConfig>,
@@ -309,7 +300,6 @@ pub fn run_gpu_observed(
     let mut gpu = Gpu::new(DeviceProfile::titan_x());
     gpu.set_fault_plan(fault);
     gpu.set_watchdog(watchdog);
-    gpu.set_exec_mode(exec);
     gpu.set_recorder(recorder);
     let cfg = EclConfig {
         record_path_lengths: record_paths,
@@ -464,8 +454,7 @@ mod tests {
     #[test]
     fn ladder_from_cli_certifies() {
         let g = ecl_graph::generate::disjoint_cliques(3, 5);
-        let out =
-            run_ladder_obs(&g, 2, None, FaultPlan::none(), ExecMode::Serial, None, None).unwrap();
+        let out = run_ladder_obs(&g, 2, None, FaultPlan::none(), None, None).unwrap();
         assert_eq!(out.certificate.num_components, 3);
     }
 
@@ -474,14 +463,8 @@ mod tests {
         let g = ecl_graph::generate::kronecker(9, 8, 2);
         let want = run_algorithm("serial", &g, 1).unwrap().labels;
         for algo in ["serial", "parallel", "gpu"] {
-            let r = run_algorithm_cfg(
-                algo,
-                &g,
-                2,
-                ExecMode::Serial,
-                Some(SamplingConfig::with_k(2)),
-            )
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+            let r = run_algorithm_cfg(algo, &g, 2, Some(SamplingConfig::with_k(2)))
+                .unwrap_or_else(|e| panic!("{algo}: {e}"));
             assert_eq!(r.labels, want, "{algo}");
         }
     }
@@ -489,14 +472,7 @@ mod tests {
     #[test]
     fn sampling_rejected_for_baselines() {
         let g = ecl_graph::generate::path(10);
-        let err = run_algorithm_cfg(
-            "bfscc",
-            &g,
-            1,
-            ExecMode::Serial,
-            Some(SamplingConfig::default()),
-        )
-        .unwrap_err();
+        let err = run_algorithm_cfg("bfscc", &g, 1, Some(SamplingConfig::default())).unwrap_err();
         assert!(err.contains("--sampling"), "{err}");
     }
 

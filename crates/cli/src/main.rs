@@ -5,7 +5,7 @@ use ecl_cc_cli::{
     generate_catalog, parse_label_file, read_graph, run_algorithm, run_algorithm_cfg,
     run_gpu_observed, run_ladder_obs, write_graph, Format, ALGORITHMS,
 };
-use ecl_gpu_sim::{ExecMode, FaultPlan};
+use ecl_gpu_sim::FaultPlan;
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -15,7 +15,7 @@ usage: ecl-cc <command> [args]
 
 commands:
   components <file> [--algo NAME|auto] [--threads N] [--format F] [--labels OUT]
-             [--watchdog CYCLES] [--fault-plan SPEC] [--sim-workers N]
+             [--watchdog CYCLES] [--fault-plan SPEC]
              [--trace FILE] [--stats] [--shards N] [--shard-chaos SPEC]
              [--shard-ckpt DIR] [--crash-budget N] [--sampling K]
       label connected components (default algo: parallel); `--algo auto`
@@ -25,9 +25,6 @@ commands:
       an injection plan on the simulated GPU (gpu/auto only): none,
       cas-storm[:SEED], slow-memory[:SEED], scheduler-chaos[:SEED],
       everything[:SEED], or custom `seed=N,cas=PERMILLE,mem=PERMILLE/CYC,shuffle`;
-      --sim-workers N runs the simulated GPU host-parallel on N threads
-      (0 = one per core) — labels stay certified-identical, cycle counts
-      become indicative only; omit it for deterministic serial timing;
       --trace FILE writes a Chrome trace (kernel + ladder spans);
       --stats prints per-kernel cycles and parent-path-length stats
       (gpu algo only); --shards N edge-cuts the graph across N simulated
@@ -47,7 +44,7 @@ commands:
         [--journal FILE] [--resume FILE] [--results DIR] [--report FILE]
         [--fault-plan SPEC] [--watchdog CYCLES] [--threads N] [--reject-full]
         [--breaker-threshold N] [--breaker-cooldown-ms MS] [--breaker-probes N]
-        [--kill-after N] [--sim-workers N] [--shards N] [--trace FILE]
+        [--kill-after N] [--shards N] [--trace FILE]
         [--sampling K]
       run a batch of CC jobs (one `<name> <graph-spec>` per line in FILE)
       through the certified fallback ladder on a worker pool, with
@@ -55,10 +52,7 @@ commands:
       journal; --resume continues a killed run from its journal;
       the machine-readable JSON report goes to --report or stdout;
       --kill-after N simulates SIGKILL after N completed jobs (testing);
-      --sim-workers N makes GPU stages host-parallel (0 = auto: cores
-      are split between batch workers and per-device SM threads;
-      --shards N runs every job sharded across N simulated devices and
-      widens the core budget to workers x shards);
+      --shards N runs every job sharded across N simulated devices;
       --trace FILE writes a Chrome trace (job, ladder, kernel spans,
       breaker transitions, queue depth)
   serve --dir DIR [--addr HOST:PORT] [--vertices N] [--resume]
@@ -66,7 +60,6 @@ commands:
         [--workers N] [--queue N] [--deadline-ms MS] [--metrics FILE]
         [--metrics-every SECS] [--trace FILE] [--flight-dir DIR]
         [--no-telemetry] [--debug-poison-after N] [--threads N]
-        [--sim-workers N]
       run the connectivity-as-a-service TCP server (ECL/1 line protocol:
       ADD/CONN/COMP/STATS/METRICS/SUBMIT/JOB/PING/QUIT/SHUTDOWN); every
       acknowledged ADD is fsync'd to a write-ahead log in --dir before
@@ -85,7 +78,7 @@ commands:
       (default --dir); --debug-poison-after N force-poisons the WAL
       after N durable edges (CI fault injection)
   profile [FILE] [--graph NAME]... [--device titan-x|k40] [--scale S]
-          [--sim-workers N] [--trace FILE] [--metrics FILE] [--report]
+          [--trace FILE] [--metrics FILE] [--report]
           [--validate]
       run ECL-CC on the simulated GPU with full instrumentation and
       regenerate the paper's cache-locality table (Table 3), per-phase
@@ -95,7 +88,7 @@ commands:
       against their schemas (CI gate);
       default input is a bundled quick set of paper graphs
   verify <file> [--labels FILE | --algo NAME] [--threads N] [--format F]
-         [--sim-workers N] [--sampling K]
+         [--sampling K]
       certify a labeling with the independent O(n+m) checker: edge
       consistency, representative fixpoints, component count vs BFS
   stats <file> [--format F]
@@ -196,15 +189,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         .map(|t| t.parse().map_err(|e| format!("--threads: {e}")))
         .transpose()?
         .unwrap_or_else(ecl_parallel::default_threads);
-    // GPU-simulator execution mode: serial (deterministic cycles) unless
-    // --sim-workers asks for host-parallel throughput.
-    let sim_exec: ExecMode = match flag(args, "--sim-workers") {
-        Some(v) => ExecMode::HostParallel(
-            v.parse()
-                .map_err(|e| format!("--sim-workers: {e} (use 0 for one per core)"))?,
-        ),
-        None => ExecMode::Serial,
-    };
     // Adaptive sampling: --sampling K hooks only the first K neighbors,
     // short-circuits the giant component, then finishes the remainder.
     let sampling: Option<SamplingConfig> = flag(args, "--sampling")
@@ -269,7 +253,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     threads,
                     watchdog,
                     plan,
-                    sim_exec,
                     ckpt,
                     budget,
                     recorder.clone(),
@@ -301,15 +284,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 };
                 (out.result, how, None)
             } else if algo == "auto" {
-                let out = run_ladder_obs(
-                    &g,
-                    threads,
-                    watchdog,
-                    fault,
-                    sim_exec,
-                    recorder.clone(),
-                    sampling,
-                )?;
+                let out = run_ladder_obs(&g, threads, watchdog, fault, recorder.clone(), sampling)?;
                 for a in &out.attempts {
                     if let Some(reason) = a.outcome.reason() {
                         eprintln!(
@@ -326,15 +301,8 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     || want_stats
                     || recorder.is_some())
             {
-                let (r, stats) = run_gpu_observed(
-                    &g,
-                    fault,
-                    watchdog,
-                    sim_exec,
-                    want_stats,
-                    recorder.clone(),
-                    sampling,
-                )?;
+                let (r, stats) =
+                    run_gpu_observed(&g, fault, watchdog, want_stats, recorder.clone(), sampling)?;
                 let how = if flag(args, "--fault-plan").is_some() {
                     "gpu(fault-injected)".to_string()
                 } else {
@@ -343,7 +311,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 (r, how, Some(stats))
             } else {
                 let span_start = recorder.as_ref().map(Recorder::now_us);
-                let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sampling)?;
+                let r = run_algorithm_cfg(&algo, &g, threads, sampling)?;
                 if let (Some(rec), Some(start)) = (&recorder, span_start) {
                     rec.record(TraceEvent::span(
                         &format!("components:{algo}"),
@@ -402,10 +370,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 }
             }
             if let (Some(out), Some(rec)) = (&trace_out, &recorder) {
-                let md = [
-                    ("tool".to_string(), "ecl-cc components".to_string()),
-                    ("exec".to_string(), sim_exec.describe()),
-                ];
+                let md = [("tool".to_string(), "ecl-cc components".to_string())];
                 std::fs::write(out, rec.chrome_trace_json(&md))
                     .map_err(|e| format!("{out}: {e}"))?;
                 eprintln!("trace written to {out}");
@@ -431,7 +396,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let mut cfg = ecl_engine::EngineConfig {
                 ladder: ecl_cc::LadderConfig {
                     threads,
-                    exec: sim_exec,
                     ..ecl_cc::LadderConfig::default()
                 },
                 ..ecl_engine::EngineConfig::default()
@@ -492,10 +456,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 
             let report = ecl_engine::run_batch(&jobs, &cfg)?;
             if let (Some(out), Some(rec)) = (&trace_out, &recorder) {
-                let md = [
-                    ("tool".to_string(), "ecl-cc batch".to_string()),
-                    ("exec".to_string(), sim_exec.describe()),
-                ];
+                let md = [("tool".to_string(), "ecl-cc batch".to_string())];
                 std::fs::write(out, rec.chrome_trace_json(&md))
                     .map_err(|e| format!("{out}: {e}"))?;
                 eprintln!("trace written to {out}");
@@ -562,7 +523,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             }
             cfg.jobs.deadline_ms = parse_u64("--deadline-ms")?;
             cfg.jobs.ladder.threads = threads;
-            cfg.jobs.ladder.exec = sim_exec;
             if let Some(m) = flag(args, "--metrics") {
                 cfg.metrics_path = Some(PathBuf::from(m));
                 cfg.recorder = Recorder::new();
@@ -603,7 +563,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 }
                 None => {
                     let algo = flag(args, "--algo").unwrap_or_else(|| "parallel".into());
-                    let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sampling)?;
+                    let r = run_algorithm_cfg(&algo, &g, threads, sampling)?;
                     (r.labels, format!("algorithm `{algo}`"))
                 }
             };
@@ -726,7 +686,7 @@ mod tests {
         for f in [
             "--algo",
             "--format",
-            "--sim-workers",
+            "--fault-plan",
             "--shard-chaos",
             "--sampling",
         ] {
@@ -744,6 +704,10 @@ mod tests {
         assert_eq!(err, "unknown flag '--sim-wokers' for components");
         let err = run(&["components", "g.el", "--sched", "static"]).unwrap_err();
         assert_eq!(err, "unknown flag '--sched' for components");
+        for cmd in ["components", "batch", "serve", "profile", "verify"] {
+            let err = run(&[cmd, "x", "--sim-workers", "2"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag '--sim-workers' for {cmd}"));
+        }
         let err = run(&["batch", "--jobs", "j.txt", "--sched", "steal"]).unwrap_err();
         assert_eq!(err, "unknown flag '--sched' for batch");
         // A flag valid for one command is still unknown to another.

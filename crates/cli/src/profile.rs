@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! profile [FILE] [--graph NAME]... [--device titan-x|k40]
-//!         [--scale tiny|bench|large] [--sim-workers N]
+//!         [--scale tiny|bench|large]
 //!         [--trace FILE] [--metrics FILE] [--report] [--validate]
 //! ```
 //!
@@ -17,7 +17,7 @@
 //! if either does not conform — the CI hook.
 
 use ecl_cc::EclConfig;
-use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
+use ecl_gpu_sim::{DeviceProfile, Gpu};
 use ecl_graph::CsrGraph;
 use ecl_obs::report::{CacheRow, PathRow, PhaseRow};
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
@@ -36,12 +36,10 @@ fn profile_graph(
     name: &str,
     g: &CsrGraph,
     profile: &DeviceProfile,
-    exec: ExecMode,
     recorder: &Recorder,
     origin: &mut u64,
 ) -> Result<GraphProfile, String> {
     let mut device = Gpu::new(profile.clone());
-    device.set_exec_mode(exec);
     device.set_recorder(Some(recorder.clone()));
     device.set_timeline_origin(*origin);
     let cfg = EclConfig {
@@ -110,13 +108,6 @@ pub fn run_profile(args: &[String]) -> Result<(), String> {
         Some("k40") => DeviceProfile::k40(),
         Some(other) => return Err(format!("--device: unknown device '{other}' (titan-x|k40)")),
     };
-    let exec = match flag("--sim-workers") {
-        Some(v) => ExecMode::HostParallel(
-            v.parse()
-                .map_err(|e| format!("--sim-workers: {e} (use 0 for one per core)"))?,
-        ),
-        None => ExecMode::Serial,
-    };
     let scale = flag("--scale").unwrap_or_else(|| "tiny".into());
 
     // Input selection: an explicit graph file, any number of --graph
@@ -159,20 +150,14 @@ pub fn run_profile(args: &[String]) -> Result<(), String> {
     let mut path_rows = Vec::new();
     let mut origin = 0u64;
     for (name, g) in &graphs {
-        let gp = profile_graph(name, g, &profile, exec, &recorder, &mut origin)?;
+        let gp = profile_graph(name, g, &profile, &recorder, &mut origin)?;
         cache_rows.push(gp.cache);
         phase_rows.push(gp.phases);
         path_rows.extend(gp.paths);
     }
 
-    let exec_desc = exec.describe();
-    let report = ecl_obs::report::profile_report(
-        profile.name,
-        &exec_desc,
-        &cache_rows,
-        &phase_rows,
-        &path_rows,
-    );
+    let report =
+        ecl_obs::report::profile_report(profile.name, &cache_rows, &phase_rows, &path_rows);
     // The text report is the default output; --trace/--metrics add the
     // machine-readable artifacts next to it.
     if args.iter().any(|a| a == "--report")
@@ -187,7 +172,6 @@ pub fn run_profile(args: &[String]) -> Result<(), String> {
         let md = [
             ("tool".to_string(), "ecl-cc profile".to_string()),
             ("device".to_string(), profile.name.to_string()),
-            ("exec".to_string(), exec_desc.clone()),
         ];
         std::fs::write(path, recorder.chrome_trace_json(&md))
             .map_err(|e| format!("{path}: {e}"))?;

@@ -51,7 +51,6 @@ use crate::result::CcResult;
 use crate::sampling::{estimate_giant, stats_from_snapshot};
 use ecl_gpu_sim::{DevicePtr, Gpu, KernelStats, Lanes, Mask, SimError, WarpCtx, LANES};
 use ecl_unionfind::concurrent::JumpKind;
-use std::sync::{Arc, Mutex};
 use warp_ops::{probe_path_lengths, warp_find, warp_find_intermediate, warp_hook, warp_walk};
 
 /// Accumulated parent-path-length statistics (Table 4) gathered by the
@@ -200,13 +199,7 @@ pub fn try_run(
         stride: total as u32,
     };
 
-    // Behind an `Arc<Mutex<_>>` so the kernel closures are `Fn + Send +
-    // Sync + 'static` for the mode-aware `*_sync` launches (the persistent
-    // worker pool runs them on long-lived threads); in serial mode the lock
-    // is always uncontended and the probe stays untimed either way.
-    let paths: Paths = cfg
-        .record_path_lengths
-        .then(|| Arc::new(Mutex::new(PathLengthStats::default())));
+    let mut paths = cfg.record_path_lengths.then(PathLengthStats::default);
 
     init(gpu, d, cfg.init)?;
 
@@ -221,7 +214,7 @@ pub fn try_run(
         ),
         Some(scfg) => {
             let k = scfg.k.max(1);
-            sample_hook(gpu, d, cfg.jump, k as u32, &paths)?;
+            sample_hook(gpu, d, cfg.jump, k as u32, &mut paths)?;
             finalize(gpu, d, "compress", FiniKind::Single)?;
             // Host probe: giant root + frozen skip snapshot. The download
             // is untimed (measurement protocol); the snapshot goes back up
@@ -249,13 +242,13 @@ pub fn try_run(
     } else {
         "compute1"
     };
-    hook_route(gpu, d, name, cfg, win, skip, &paths)?;
+    hook_route(gpu, d, name, cfg, win, skip, &mut paths)?;
     // Worklist sizes become known to the host here (the CUDA code reads
     // them in-kernel; reading them between launches is untimed either way).
     let ctr = gpu.download(d.wlctr);
     let (mid_count, big_count) = (ctr[0], ctr[1]);
-    compute2(gpu, d, cfg.jump, win, mid_count, &paths)?;
-    compute3(gpu, d, cfg.jump, win, big_count, &paths)?;
+    compute2(gpu, d, cfg.jump, win, mid_count, &mut paths)?;
+    compute3(gpu, d, cfg.jump, win, big_count, &mut paths)?;
     finalize(gpu, d, "finalize", cfg.fini)?;
 
     let labels = download_parents(gpu, d, n);
@@ -263,13 +256,7 @@ pub fn try_run(
         kernels: gpu.kernel_stats()[kernels_before..].to_vec(),
         worklist_mid: mid_count as usize,
         worklist_big: big_count as usize,
-        path_lengths: paths.map(|m| {
-            // The pool dropped its clones when the launches completed; fall
-            // back to a lock only if an abort left a straggler alive.
-            Arc::try_unwrap(m)
-                .map(|mx| mx.into_inner().unwrap())
-                .unwrap_or_else(|arc| *arc.lock().unwrap())
-        }),
+        path_lengths: paths,
         sampling,
     };
     Ok((CcResult::new(labels), stats))
@@ -314,14 +301,15 @@ impl Window {
     }
 }
 
-/// The path-length accumulator shared with the kernel closures.
-type Paths = Option<Arc<Mutex<PathLengthStats>>>;
+/// The path-length accumulator the kernel closures borrow (`None` when
+/// [`EclConfig::record_path_lengths`] is off).
+type Paths = Option<PathLengthStats>;
 
 /// Untimed probe of the parent-path lengths ahead of a find (Table 4).
-fn probe(paths: &Paths, w: &WarpCtx, parent: DevicePtr, v: &Lanes, mask: Mask) {
+fn probe(paths: &mut Paths, w: &WarpCtx, parent: DevicePtr, v: &Lanes, mask: Mask) {
     if let Some(acc) = paths {
         let lens = probe_path_lengths(w, parent, v, mask);
-        acc.lock().unwrap().absorb(&lens, mask);
+        acc.absorb(&lens, mask);
     }
 }
 
@@ -336,7 +324,7 @@ fn download_parents(gpu: &Gpu, d: Dev, n: usize) -> Vec<u32> {
 
 /// Kernel `init`: every vertex's starting parent per `kind`.
 fn init(gpu: &mut Gpu, d: Dev, kind: InitKind) -> Result<KernelStats, SimError> {
-    gpu.try_launch_warps_sync("init", d.total, move |w| {
+    gpu.try_launch_warps("init", d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
             let m = w.launch_mask() & v.lt_scalar(d.nu);
@@ -388,10 +376,9 @@ fn sample_hook(
     d: Dev,
     jump: JumpKind,
     k: u32,
-    paths: &Paths,
+    paths: &mut Paths,
 ) -> Result<KernelStats, SimError> {
-    let paths = paths.clone();
-    gpu.try_launch_warps_sync("sample_hook", d.total, move |w| {
+    gpu.try_launch_warps("sample_hook", d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
             let m = w.launch_mask() & v.lt_scalar(d.nu);
@@ -402,13 +389,13 @@ fn sample_hook(
             let end = w.load(d.nidx, &v.add_scalar(1), m);
             let stop = beg.zip(&end, |b, e| b.saturating_add(k).min(e));
             w.alu(2);
-            probe(&paths, w, d.parent, &v, m);
+            probe(paths, w, d.parent, &v, m);
             let mut v_rep = warp_find(w, d.parent, &v, m, jump);
             let mut i = beg;
             let mut e = m & i.lt(&stop);
             while e.any() {
                 let u = w.load(d.nlist, &i, e);
-                probe(&paths, w, d.parent, &u, e);
+                probe(paths, w, d.parent, &u, e);
                 let u_rep = warp_find(w, d.parent, &u, e, jump);
                 let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, e);
                 v_rep.assign_masked(&merged, e);
@@ -434,13 +421,12 @@ fn hook_route(
     cfg: &EclConfig,
     win: Window,
     skip: Option<(DevicePtr, u32)>,
-    paths: &Paths,
+    paths: &mut Paths,
 ) -> Result<KernelStats, SimError> {
     let jump = cfg.jump;
     let warp_thresh = Lanes::splat(cfg.warp_threshold as u32);
     let block_thresh = Lanes::splat(cfg.block_threshold as u32);
-    let paths = paths.clone();
-    gpu.try_launch_warps_sync(name, d.total, move |w| {
+    gpu.try_launch_warps(name, d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
             let m = w.launch_mask() & v.lt_scalar(d.nu);
@@ -479,7 +465,7 @@ fn hook_route(
                 // Process low-degree vertices immediately.
                 let small = live & deg.le(&warp_thresh);
                 if small.any() {
-                    probe(&paths, w, d.parent, &v, small);
+                    probe(paths, w, d.parent, &v, small);
                     let mut v_rep = warp_find(w, d.parent, &v, small, jump);
                     let mut i = start;
                     let mut e = small & i.lt(&end);
@@ -487,7 +473,7 @@ fn hook_route(
                         let u = w.load(d.nlist, &i, e);
                         let proc = win.filter(e, &u, &v);
                         if proc.any() {
-                            probe(&paths, w, d.parent, &u, proc);
+                            probe(paths, w, d.parent, &u, proc);
                             let u_rep = warp_find(w, d.parent, &u, proc, jump);
                             let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                             v_rep.assign_masked(&merged, proc);
@@ -512,10 +498,9 @@ fn compute2(
     jump: JumpKind,
     win: Window,
     mid_count: u32,
-    paths: &Paths,
+    paths: &mut Paths,
 ) -> Result<KernelStats, SimError> {
-    let paths = paths.clone();
-    gpu.try_launch_warps_sync("compute2", d.total, move |w| {
+    gpu.try_launch_warps("compute2", d.total, move |w| {
         let num_warps = (w.total_threads() as usize / LANES) as u32;
         let mut wi = w.thread_ids().get(0) / LANES as u32;
         while wi < mid_count {
@@ -523,7 +508,7 @@ fn compute2(
             let beg = w.load_uniform(d.nidx, v);
             let end = w.load_uniform(d.nidx, v + 1);
             let vv = Lanes::splat(v);
-            probe(&paths, w, d.parent, &vv, Mask(1));
+            probe(paths, w, d.parent, &vv, Mask(1));
             let v_rep0 = warp_find(w, d.parent, &vv, Mask(1), jump).get(0);
             let mut v_rep = Lanes::splat(v_rep0);
             let mut base = win.start(beg, end);
@@ -533,7 +518,7 @@ fn compute2(
                 let u = w.load(d.nlist, &idx, m);
                 let proc = win.filter(m, &u, &vv);
                 if proc.any() {
-                    probe(&paths, w, d.parent, &u, proc);
+                    probe(paths, w, d.parent, &u, proc);
                     let u_rep = warp_find(w, d.parent, &u, proc, jump);
                     let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                     v_rep.assign_masked(&merged, proc);
@@ -555,12 +540,11 @@ fn compute3(
     jump: JumpKind,
     win: Window,
     big_count: u32,
-    paths: &Paths,
+    paths: &mut Paths,
 ) -> Result<KernelStats, SimError> {
     let nblocks = (gpu.profile().num_sms * 4).max(1);
     let tpb = gpu.profile().threads_per_block as u32;
-    let paths = paths.clone();
-    gpu.try_launch_blocks_sync("compute3", nblocks, move |b| {
+    gpu.try_launch_blocks("compute3", nblocks, move |b| {
         let mut j = b.block_idx() as u32;
         let step = b.num_blocks() as u32;
         while j < big_count {
@@ -571,7 +555,7 @@ fn compute3(
                 let warp_in_block = (w.thread_ids().get(0) % tpb) / LANES as u32;
                 let vv = Lanes::splat(v);
                 if warp_in_block == 0 {
-                    probe(&paths, w, d.parent, &vv, Mask(1));
+                    probe(paths, w, d.parent, &vv, Mask(1));
                 }
                 let v_rep0 = warp_find(w, d.parent, &vv, Mask(1), jump).get(0);
                 let mut v_rep = Lanes::splat(v_rep0);
@@ -582,7 +566,7 @@ fn compute3(
                     let u = w.load(d.nlist, &idx, m);
                     let proc = win.filter(m, &u, &vv);
                     if proc.any() {
-                        probe(&paths, w, d.parent, &u, proc);
+                        probe(paths, w, d.parent, &u, proc);
                         let u_rep = warp_find(w, d.parent, &u, proc, jump);
                         let (merged, _) = warp_hook(w, d.parent, &u_rep, &v_rep, proc);
                         v_rep.assign_masked(&merged, proc);
@@ -600,7 +584,7 @@ fn compute3(
 /// pipeline's `compress`): short-circuits every parent to its
 /// representative.
 fn finalize(gpu: &mut Gpu, d: Dev, name: &str, fini: FiniKind) -> Result<KernelStats, SimError> {
-    gpu.try_launch_warps_sync(name, d.total, move |w| {
+    gpu.try_launch_warps(name, d.total, move |w| {
         let mut v = w.thread_ids();
         loop {
             let m = w.launch_mask() & v.lt_scalar(d.nu);

@@ -70,10 +70,9 @@ pub struct LadderConfig {
     pub fault: FaultPlan,
     /// Per-kernel cycle budget for the GPU watchdog, if any.
     pub watchdog: Option<u64>,
-    /// Execution mode for the GPU-simulator stage. Serial (the default)
-    /// gives reproducible cycles; [`ExecMode::HostParallel`] trades cycle
-    /// determinism for wall-clock throughput — safe here because every
-    /// ladder answer is certified before being accepted.
+    /// Read by nothing: the simulator has one execution mode. Kept
+    /// because the benchmark's `jobs` workload sets it; the next
+    /// benchmark change drops that line and then this field.
     pub exec: ExecMode,
     /// Observability recorder. When present and enabled, the ladder
     /// emits one wall-clock span per attempt (the attempt chain) and the
@@ -324,7 +323,6 @@ fn run_stage(
                 plan.seed = plan.seed.wrapping_add(attempt as u64 - 1);
                 device.set_fault_plan(plan);
                 device.set_watchdog(cfg.watchdog);
-                device.set_exec_mode(cfg.exec);
                 device.set_recorder(cfg.recorder.clone());
                 device.set_trace_ctx(attempt_ctx);
                 gpu::try_run(&mut device, g, cc).map(|(r, _)| r)

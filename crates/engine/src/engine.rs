@@ -36,7 +36,6 @@ use crate::rounds::{Certified, Rounds};
 use crate::spec::{jobs_digest, GraphStore, JobSpec};
 use ecl_cc::ladder::LadderConfig;
 use ecl_cc::EclError;
-use ecl_gpu_sim::ExecMode;
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -80,8 +79,7 @@ pub struct EngineConfig {
     pub kill_after_jobs: Option<usize>,
     /// Simulated devices per job: 1 (the default) runs jobs through the
     /// fallback ladder; N > 1 edge-cuts each job's graph across N
-    /// devices with min-label exchange (`ecl-shard`). Counts against
-    /// the core budget alongside workers — see [`budget_exec_mode`].
+    /// devices with min-label exchange (`ecl-shard`).
     pub shards_per_job: usize,
 }
 
@@ -119,8 +117,7 @@ pub fn labels_to_bytes(labels: &[u32]) -> Vec<u8> {
 struct Shared<'a> {
     cfg: &'a EngineConfig,
     queue: BoundedQueue<JobSpec>,
-    /// The retry loop and breakers; its ladder's `HostParallel(0)` (auto)
-    /// is resolved against the worker count ([`budget_exec_mode`]).
+    /// The retry loop and breakers.
     rounds: Rounds,
     journal: Option<Mutex<JournalWriter>>,
     reports: Mutex<Vec<JobReport>>,
@@ -208,13 +205,7 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
         cfg,
         queue: BoundedQueue::new(cfg.queue_capacity),
         rounds: Rounds {
-            ladder: LadderConfig {
-                exec: budget_exec_mode(
-                    cfg.ladder.exec,
-                    cfg.workers.max(1) * cfg.shards_per_job.max(1),
-                ),
-                ..cfg.ladder.clone()
-            },
+            ladder: cfg.ladder.clone(),
             shards: cfg.shards_per_job,
             retries: cfg.retries,
             backoff: cfg.backoff,
@@ -315,28 +306,6 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
         aborted: shared.killed.load(Ordering::SeqCst),
         total_ms: t0.elapsed().as_secs_f64() * 1e3,
     })
-}
-
-/// Divides the host's cores between engine workers and per-worker SM
-/// simulation threads. `HostParallel(0)` means "auto": with W engine
-/// workers each already running jobs concurrently, each simulated device
-/// gets `cores / W` SM threads (at least 1; `HostParallel(1)` runs the
-/// lockstep single-thread path inline on the worker's own thread — the
-/// persistent pool spawns nothing, so it costs within a few percent of
-/// serial mode). Sharded runs multiply the divisor: W workers × S shards
-/// devices may execute at once, so each gets `cores / (W*S)` threads.
-/// Explicit modes pass through untouched — the operator asked for
-/// exactly that. The server budgets its `SUBMIT` workers the same way.
-pub fn budget_exec_mode(requested: ExecMode, workers: usize) -> ExecMode {
-    match requested {
-        ExecMode::HostParallel(0) => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            ExecMode::HostParallel((cores / workers.max(1)).max(1))
-        }
-        other => other,
-    }
 }
 
 fn worker_loop(shared: &Shared<'_>, worker: usize) {
@@ -503,31 +472,4 @@ fn finish_job(
         error: None,
         time_ms: ms(t0),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn budget_exec_mode_passes_explicit_modes_and_splits_auto() {
-        assert_eq!(budget_exec_mode(ExecMode::Serial, 4), ExecMode::Serial);
-        assert_eq!(
-            budget_exec_mode(ExecMode::HostParallel(3), 64),
-            ExecMode::HostParallel(3)
-        );
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(
-            budget_exec_mode(ExecMode::HostParallel(0), 1),
-            ExecMode::HostParallel(cores)
-        );
-        // More workers than cores (or zero workers) never resolves below
-        // one SM thread, nor back to auto.
-        for workers in [0, 2, cores, cores * 4 + 1] {
-            match budget_exec_mode(ExecMode::HostParallel(0), workers) {
-                ExecMode::HostParallel(n) => assert!((1..=cores).contains(&n), "{workers}: {n}"),
-                other => panic!("{workers} workers resolved auto to {other:?}"),
-            }
-        }
-    }
 }

@@ -46,7 +46,7 @@ pub mod spec;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{Admission, BreakerConfig, BreakerState};
-pub use engine::{budget_exec_mode, labels_to_bytes, run_batch, EngineConfig};
+pub use engine::{labels_to_bytes, run_batch, EngineConfig};
 pub use report::{BatchReport, JobReport, JobStatus};
 pub use rounds::Rounds;
 pub use spec::{parse_jobs, GraphSpec, JobSpec};

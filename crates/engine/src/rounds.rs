@@ -27,9 +27,8 @@ use std::time::Instant;
 
 /// The retry policy and breakers one pool of job workers shares.
 pub struct Rounds {
-    /// Base ladder configuration, its exec mode already budgeted against
-    /// the pool ([`budget_exec_mode`](crate::engine::budget_exec_mode));
-    /// an enabled recorder also receives the breaker transitions.
+    /// Base ladder configuration; an enabled recorder also receives the
+    /// breaker transitions.
     pub ladder: LadderConfig,
     /// Simulated devices per job; N > 1 runs the sharded round.
     pub shards: usize,
@@ -270,7 +269,6 @@ impl Rounds {
                 profile: self.ladder.profile.clone(),
                 fault,
                 watchdog: self.ladder.watchdog,
-                exec: self.ladder.exec,
                 threads: self.ladder.threads,
                 recorder: self.recorder().cloned(),
                 ..LadderConfig::default()

@@ -374,30 +374,6 @@ impl FaultRng {
         }
     }
 
-    /// Per-SM stream for the host-parallel execution mode: each simulated
-    /// SM draws from its own generator so injection decisions stay seeded
-    /// and replayable per SM regardless of how the OS schedules workers.
-    /// (The serial mode keeps one launch-wide stream in warp order; the
-    /// two modes intentionally draw different sequences — fault *timing*
-    /// is interleaving-dependent either way, only the seed contract is
-    /// preserved.)
-    pub fn for_sm(seed: u64, launch: u64, sm: usize) -> FaultRng {
-        let sm_seed = seed.wrapping_add((sm as u64 + 1).wrapping_mul(0xd1b54a32d192ed03));
-        FaultRng::new(sm_seed, launch)
-    }
-
-    /// Per-block (per schedulable item) stream for host-parallel launches:
-    /// the launch engine reseeds before every warp/block it executes, so
-    /// every injection draw is a pure function of `(seed, launch, block)`
-    /// — independent of which worker ran the block or in what order.
-    /// This is what keeps chaos runs reproducible and per-SM cache/cycle
-    /// stats byte-identical across worker counts. The serial mode keeps
-    /// its original launch-wide stream untouched.
-    pub fn for_block(seed: u64, launch: u64, block: usize) -> FaultRng {
-        let block_seed = seed.wrapping_add((block as u64 + 1).wrapping_mul(0x2545f4914f6cdd1d));
-        FaultRng::new(block_seed, launch)
-    }
-
     /// Next uniform `u64`.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);

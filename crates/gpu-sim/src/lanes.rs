@@ -11,7 +11,7 @@
 //! into all-ones/all-zeros bit masks (`(cond as u32).wrapping_neg()`),
 //! never early exits or per-lane `if`s. The host compiler's
 //! autovectorizer turns each into a handful of SIMD ops, which is where
-//! host-parallel simulation spends its inner-loop time. Only the memory
+//! the simulator spends its inner-loop time. Only the memory
 //! path ([`Mask::iter`]'s bit scan) keeps the sparse per-active-lane
 //! walk: memory operations must touch exactly the active lanes.
 

@@ -28,22 +28,11 @@
 //! paper's figures are all normalized ratios), not as wall-clock
 //! milliseconds.
 //!
-//! Two execution modes ([`ExecMode`]) share this model:
-//!
-//! * **Serial** (default): warps execute to completion in a deterministic
-//!   order (blocks round-robin over SMs, warps in block order), so
-//!   simulations are exactly reproducible — cycles, cache stats, fault
-//!   injection, and watchdog behaviour are bit-for-bit. This serializes
-//!   the benign data races the paper discusses in §3.
-//! * **Host-parallel**: each simulated SM's warps run on a real host
-//!   thread, with device memory backed by real atomics and the modelled
-//!   L2 capacity statically sliced into one private cache per SM — no
-//!   locks anywhere on the memory path. Final labels of order-independent
-//!   algorithms (ECL-CC's min-wins hooking) are byte-identical to serial
-//!   mode — certified per run by `ecl-verify` — while wall-clock time
-//!   scales with cores. Cycle counts differ from the serial shared-L2
-//!   record (and become interleaving-dependent when kernels race across
-//!   SMs), so all timing experiments stay serial.
+//! Every launch runs on the calling thread: warps execute to completion
+//! in a deterministic order (blocks round-robin over SMs, warps in block
+//! order), so simulations are exactly reproducible — cycles, cache stats,
+//! fault injection, and watchdog behaviour are bit-for-bit. This
+//! serializes the benign data races the paper discusses in §3.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,11 @@
 //! Simulated global memory: a flat word-addressed space with a bump
 //! allocator and typed buffer handles.
 //!
-//! Words are stored as [`AtomicU32`] so the host-parallel execution mode
-//! (see [`crate::ExecMode`]) can run kernel warps on real threads with
-//! `atomicCAS`/`atomicAdd` mapped to real atomic read-modify-writes. All
-//! orderings are `Relaxed`: CUDA global memory guarantees nothing stronger
-//! between independent threads, and on the serial path a relaxed atomic on
-//! one thread is exactly a plain load/store — serial behaviour is
-//! bit-identical to the pre-atomic model.
+//! Words are stored as [`AtomicU32`] with `Relaxed` orderings. Every
+//! launch runs on one thread, where a relaxed atomic is exactly a plain
+//! load/store, so the words could be plain `u32`s; they stay atomic until
+//! a measurement shows that plain words pay for the change in host cost
+//! (ROADMAP item 8). The simulated results are the same either way.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -108,9 +106,7 @@ impl GlobalMemory {
     }
 
     /// Raw word write with bounds check. Takes `&self`: words are atomic,
-    /// so concurrent SM workers can write without aliasing UB (conflicting
-    /// writes race exactly as unsynchronized CUDA stores do — some write
-    /// wins, no tearing).
+    /// so a warp can write while other views borrow the same memory.
     #[inline]
     pub fn write(&self, ptr: DevicePtr, idx: usize, v: u32) {
         self.cell(ptr, idx, "write").store(v, Ordering::Relaxed)

@@ -8,11 +8,8 @@
 //!
 //! Both contexts are built on an [`SmView`]: the slice of device state one
 //! simulated SM may touch while executing a warp — its private L1 and
-//! cycle counter (exclusive), plus the shared memory/L2 (safe to share).
-//! In serial mode the view borrows straight out of the [`crate::Gpu`]; in
-//! host-parallel mode each worker thread holds views over its own SMs, so
-//! warps on different SMs run concurrently without ever aliasing
-//! another SM's exclusive state.
+//! cycle counter, plus the device's memory and L2, all borrowed straight
+//! out of the [`crate::Gpu`] for the duration of one warp or block.
 
 use crate::cache::{Cache, Lookup};
 use crate::device::LaunchCounters;
@@ -24,10 +21,8 @@ use crate::profile::DeviceProfile;
 use crate::LANES;
 
 /// Everything one SM needs to execute a warp: shared device state by
-/// reference, exclusive per-SM state by mutable reference. The L2 is
-/// exclusive too: serial mode lends out the monolithic cache, and in
-/// host-parallel mode each SM owns a private slice of the modelled L2
-/// capacity — no lock is ever taken on a memory access.
+/// reference, the SM's own state and the device's one L2 by mutable
+/// reference.
 pub(crate) struct SmView<'a> {
     pub(crate) mem: &'a GlobalMemory,
     pub(crate) l2: &'a mut Cache,
@@ -63,9 +58,7 @@ impl SmView<'_> {
     /// Adds `cycles` to this SM's busy counter, aborting the launch when an
     /// armed watchdog's budget is exhausted. Every cycle-charging site in
     /// the warp context funnels through here, so a livelocked kernel trips
-    /// the watchdog no matter which operation it spins on — and in
-    /// host-parallel mode the budget is checked against this SM's own
-    /// counter, so the check needs no cross-thread state.
+    /// the watchdog no matter which operation it spins on.
     #[inline]
     pub(crate) fn charge(&mut self, cycles: u64) {
         *self.cycles += cycles;
@@ -208,9 +201,8 @@ impl<'a> WarpCtx<'a> {
     }
 
     /// Per-lane `atomicCAS(&ptr[idx], cmp, new)`, serialized in lane order
-    /// (resolved at the L2, as on hardware — and in host-parallel mode
-    /// backed by a real compare-exchange, so cross-SM races behave like
-    /// the machine's). Returns the old value each lane observed.
+    /// (resolved at the L2, as on hardware). Returns the old value each
+    /// lane observed.
     pub fn atomic_cas(
         &mut self,
         ptr: DevicePtr,

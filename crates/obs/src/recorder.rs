@@ -13,7 +13,8 @@
 //! * The hot path takes **no locks**: worker threads record into their
 //!   own [`LocalBuf`] (a bounded ring buffer) and merge it into the
 //!   shared event store at span close — one lock acquisition per merge,
-//!   so HostParallel simulation records without contention.
+//!   so engine workers and concurrent simulated devices record without
+//!   contention.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

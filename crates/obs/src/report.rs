@@ -86,16 +86,12 @@ fn table(header: &[String], rows: &[Vec<String>]) -> String {
 /// omitted then.
 pub fn profile_report(
     device: &str,
-    exec: &str,
     cache_rows: &[CacheRow],
     phase_rows: &[PhaseRow],
     path_rows: &[PathRow],
 ) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# ECL-CC profile report — device {device}, exec {exec}"
-    );
+    let _ = writeln!(out, "# ECL-CC profile report — device {device}");
     out.push('\n');
 
     let _ = writeln!(out, "## Cache locality (paper Table 3)");
@@ -201,7 +197,7 @@ mod tests {
             avg: 0.522,
             max: 4,
         }];
-        let r = profile_report("titan-x", "serial", &cache, &phases, &paths);
+        let r = profile_report("titan-x", &cache, &phases, &paths);
         assert!(r.contains("Table 3"));
         assert!(r.contains("\u{a7}4.5"));
         assert!(r.contains("Table 4"));
@@ -212,7 +208,7 @@ mod tests {
 
     #[test]
     fn path_section_omitted_when_empty() {
-        let r = profile_report("k40", "parallel:4", &[], &[], &[]);
+        let r = profile_report("k40", &[], &[], &[]);
         assert!(!r.contains("Table 4"));
         assert!(r.contains("k40"));
     }

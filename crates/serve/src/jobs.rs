@@ -18,7 +18,7 @@ use ecl_cc::EclError;
 use ecl_engine::breaker::BreakerSet;
 use ecl_engine::queue::{BoundedQueue, PushError};
 use ecl_engine::spec::{GraphSpec, GraphStore};
-use ecl_engine::{budget_exec_mode, BackoffPolicy, BreakerConfig, Rounds};
+use ecl_engine::{BackoffPolicy, BreakerConfig, Rounds};
 use ecl_obs::{FlightRecorder, Recorder, TraceCtx, TraceEvent, PID_ENGINE};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -100,9 +100,7 @@ pub struct JobsConfig {
     pub workers: usize,
     /// Queue capacity — the admission-control bound.
     pub queue_capacity: usize,
-    /// Fallback-ladder configuration shared by all jobs. An auto
-    /// host-parallel exec mode (`HostParallel(0)`) is split between the
-    /// workers like the batch engine's.
+    /// Fallback-ladder configuration shared by all jobs.
     pub ladder: LadderConfig,
     /// Per-round deadline in milliseconds, if any.
     pub deadline_ms: Option<u64>,
@@ -144,7 +142,6 @@ impl JobRunner {
     ) -> JobRunner {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let mut ladder = cfg.ladder;
-        ladder.exec = budget_exec_mode(ladder.exec, cfg.workers.max(1));
         if recorder.is_enabled() {
             ladder.recorder = Some(recorder.clone());
         }

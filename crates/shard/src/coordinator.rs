@@ -53,8 +53,8 @@ use std::path::PathBuf;
 pub struct ShardConfig {
     /// Number of shards (= simulated devices before any crash); min 1.
     pub shards: usize,
-    /// Every local solve runs with this ladder's `cc`, `profile`,
-    /// `watchdog` and `exec`, and records into its `recorder` (per-device
+    /// Every local solve runs with this ladder's `cc`, `profile` and
+    /// `watchdog`, and records into its `recorder` (per-device
     /// kernel timelines via `set_timeline_origin`, round spans,
     /// crash/recovery instants, `shard.*` metrics). Its `fault` plan's
     /// simulator knobs perturb each local solve, and its interconnect
@@ -218,7 +218,6 @@ fn solve_local(
 ) -> LocalSolve {
     for attempt in 0..2u64 {
         let mut gpu = Gpu::new(cfg.ladder.profile.clone());
-        gpu.set_exec_mode(cfg.ladder.exec);
         let mut plan = sim_only(&cfg.ladder.fault);
         // Per-(device, attempt) seed, like the ladder's per-attempt
         // reseed, so a deterministic watchdog trip is not retried into

@@ -18,7 +18,7 @@
 //!   single-device fallback ladder ([`coordinator`]).
 //!
 //! The acceptance bar for all of it is byte-identity: whatever the
-//! shard count, worker count, or seeded fault schedule, the final
+//! shard count or seeded fault schedule, the final
 //! labels equal single-device serial ECL-CC exactly, certified
 //! canonical by `ecl-verify`.
 

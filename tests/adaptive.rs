@@ -2,14 +2,14 @@
 //! sampling + giant-component short-circuit).
 //!
 //! The acceptance bar is byte-identity: for every corpus graph, every
-//! execution path (serial, parallel at several widths, simulated GPU in
-//! serial and host-parallel modes, sharded multi-device),
+//! execution path (serial, parallel at several widths, simulated GPU,
+//! sharded multi-device),
 //! every sampled prefix size K, and even under injected faults, the
 //! adaptive labels must equal baseline serial ECL-CC exactly — while
 //! inspecting no more edges than the full pass.
 
 use ecl_cc::{EclConfig, LadderConfig, SampleStats};
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
+use ecl_gpu_sim::{DeviceProfile, FaultPlan, Gpu};
 use ecl_graph::CsrGraph;
 use ecl_integration::corpus;
 
@@ -19,9 +19,8 @@ fn baseline(g: &CsrGraph) -> Vec<u32> {
     ecl_cc::serial::run(g, &EclConfig::default()).labels
 }
 
-fn gpu_sampled(g: &CsrGraph, k: usize, exec: ExecMode) -> (Vec<u32>, SampleStats) {
+fn gpu_sampled(g: &CsrGraph, k: usize) -> (Vec<u32>, SampleStats) {
     let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-    gpu.set_exec_mode(exec);
     let (r, s) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::with_sampling(k));
     (r.labels, s.sampling.expect("sampling stats present"))
 }
@@ -52,20 +51,14 @@ fn serial_and_parallel_byte_identical_across_corpus() {
 }
 
 #[test]
-fn gpu_serial_and_parallel_modes_byte_identical() {
+fn gpu_labels_and_sample_stats_match_serial() {
     for (name, g) in corpus() {
         let want = baseline(&g);
         for k in KS {
             let cpu_stats = ecl_cc::sampling::run_serial(&g, &EclConfig::with_sampling(k)).1;
-            let (labels, stats) = gpu_sampled(&g, k, ExecMode::Serial);
-            assert_eq!(labels, want, "{name} gpu-serial k={k}");
+            let (labels, stats) = gpu_sampled(&g, k);
+            assert_eq!(labels, want, "{name} gpu k={k}");
             assert_eq!(stats, cpu_stats, "{name} gpu k={k} counters drifted");
-            let (labels, stats) = gpu_sampled(&g, k, ExecMode::HostParallel(4));
-            assert_eq!(labels, want, "{name} gpu-parallel k={k}");
-            assert_eq!(
-                stats, cpu_stats,
-                "{name} gpu-parallel k={k} counters drifted"
-            );
         }
     }
 }

@@ -1,19 +1,11 @@
-//! The determinism contract between the simulator's two execution modes.
-//!
-//! * **Serial mode is the timing record**: cycles, cache statistics, and
-//!   fault behaviour are bit-for-bit reproducible, and this file pins
-//!   them to golden values captured from the original single-threaded
-//!   implementation — any refactor of the simulator's internals must
-//!   keep these numbers exactly.
-//! * **Host-parallel mode is the throughput path**: thread interleaving
-//!   makes cycle counts indicative only, but ECL-CC's min-wins hooking
-//!   converges to the same canonical labeling under any schedule, so
-//!   final labels must be *byte-identical* to serial mode for every
-//!   worker count and fault plan — and certified by the independent
-//!   checker on top.
+//! The simulator's timing record: cycles, cache statistics, and fault
+//! behaviour are bit-for-bit reproducible, and this file pins them to
+//! golden values captured from the original single-threaded
+//! implementation — any refactor of the simulator's internals must keep
+//! these numbers exactly.
 
 use ecl_cc::EclConfig;
-use ecl_gpu_sim::{DeviceProfile, ExecMode, FaultPlan, Gpu};
+use ecl_gpu_sim::{DeviceProfile, FaultPlan, Gpu};
 use ecl_graph::{generate, CsrGraph};
 
 /// One golden per-kernel row:
@@ -272,154 +264,6 @@ fn serial_fault_run_pinned() {
     }
 }
 
-/// The certified-equivalence contract: across worker counts and fault
-/// plans, host-parallel labels are byte-identical to serial labels, and
-/// both certify. (A property test in spirit: the worker counts cover
-/// degenerate (1), divisor, non-divisor, and oversubscribed (8 > SMs)
-/// schedules; the fault plans cover none, CAS-heavy, and everything.)
-#[test]
-fn parallel_labels_byte_identical_to_serial() {
-    let graphs: Vec<(&str, CsrGraph)> = vec![
-        ("gnm", generate::gnm_random(1500, 4000, 11)),
-        ("star", generate::star(900)),
-        ("cliques", generate::disjoint_cliques(5, 50)),
-        (
-            "rmat",
-            generate::rmat(9, 7, generate::RmatParams::GALOIS, 3),
-        ),
-    ];
-    let plans = [
-        ("none", FaultPlan::none()),
-        ("cas-storm", FaultPlan::cas_storm(0xc0de)),
-        ("everything", FaultPlan::everything(0xfa11)),
-    ];
-    for (gname, g) in &graphs {
-        for (pname, plan) in &plans {
-            let mut serial_gpu = Gpu::new(DeviceProfile::test_tiny());
-            serial_gpu.set_fault_plan(*plan);
-            let (serial, _) = ecl_cc::gpu::run(&mut serial_gpu, g, &EclConfig::default());
-            let cert = ecl_verify::certify(g, &serial.labels)
-                .unwrap_or_else(|e| panic!("{gname}/{pname}: serial labels: {e}"));
-
-            for workers in [1usize, 2, 3, 8] {
-                let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-                gpu.set_fault_plan(*plan);
-                gpu.set_exec_mode(ExecMode::HostParallel(workers));
-                let (par, _) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::default());
-                assert_eq!(
-                    par.labels, serial.labels,
-                    "{gname}/{pname}/workers={workers}: labels diverged"
-                );
-                let par_cert = ecl_verify::certify(g, &par.labels)
-                    .unwrap_or_else(|e| panic!("{gname}/{pname}/{workers}: {e}"));
-                assert_eq!(par_cert.num_components, cert.num_components);
-            }
-        }
-    }
-}
-
-/// The profiles the scheduler contract runs on: 2 SMs, and the 24-SM
-/// Titan X, where up to 8 real threads race on the slot cursor.
-fn sched_profiles() -> [DeviceProfile; 2] {
-    [DeviceProfile::test_tiny(), DeviceProfile::titan_x()]
-}
-
-/// Host-thread overrides for the scheduler contract: the lockstep path
-/// (1) and real pool threads (3, 8) even on a single-core CI host.
-const HOST_THREADS: [usize; 3] = [1, 3, 8];
-
-/// The scheduler half of the equivalence contract: for every profile,
-/// worker count, host-thread count, and fault plan, host-parallel ECL-CC
-/// labels are byte-identical to serial labels and certify.
-#[test]
-fn pooled_labels_byte_identical_to_serial() {
-    let graphs: Vec<(&str, CsrGraph)> = vec![
-        ("gnm", generate::gnm_random(1500, 4000, 11)),
-        ("star", generate::star(900)),
-        (
-            "rmat",
-            generate::rmat(9, 7, generate::RmatParams::GALOIS, 3),
-        ),
-    ];
-    let plans = [
-        ("none", FaultPlan::none()),
-        ("everything", FaultPlan::everything(0xfa11)),
-    ];
-    for profile in sched_profiles() {
-        for (gname, g) in &graphs {
-            for (pname, plan) in &plans {
-                let mut serial_gpu = Gpu::new(profile.clone());
-                serial_gpu.set_fault_plan(*plan);
-                let (serial, _) = ecl_cc::gpu::run(&mut serial_gpu, g, &EclConfig::default());
-
-                for host in HOST_THREADS {
-                    for workers in [1usize, 3, 8] {
-                        let ctx = format!(
-                            "{}/{gname}/{pname}/host={host}/workers={workers}",
-                            profile.name
-                        );
-                        let mut gpu = Gpu::new(profile.clone());
-                        gpu.set_fault_plan(*plan);
-                        gpu.set_exec_mode(ExecMode::HostParallel(workers));
-                        gpu.set_host_threads_override(Some(host));
-                        let (par, _) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::default());
-                        assert_eq!(par.labels, serial.labels, "{ctx}: labels diverged");
-                        ecl_verify::certify(g, &par.labels)
-                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// For race-free kernels the *statistics* — not just the labels — are
-/// schedule-free: every `CacheStats` field and every per-SM cycle delta
-/// must be byte-identical to the lockstep reference across worker and
-/// host-thread counts, because each SM slot carries its own caches and
-/// counters and per-block fault RNG reseeding makes every draw a pure
-/// function of (seed, launch, block). The cursor may hand a slot to a
-/// different OS thread, never different work.
-#[test]
-fn pooled_cache_stats_byte_identical_across_workers() {
-    const N: usize = 4096;
-    let run_one = |profile: &DeviceProfile, plan: FaultPlan, workers: usize, host: usize| {
-        let mut gpu = Gpu::new(profile.clone());
-        gpu.set_exec_mode(ExecMode::HostParallel(workers));
-        gpu.set_host_threads_override(Some(host));
-        gpu.set_fault_plan(plan);
-        let src = gpu.alloc_from(&(0..N as u32).collect::<Vec<u32>>());
-        let dst = gpu.alloc(N);
-        let k = gpu
-            .try_launch_warps_sync("scale", N, move |w| {
-                let ids = w.thread_ids();
-                let m = w.launch_mask();
-                let vals = w.load(src, &ids, m);
-                w.store(dst, &ids, &vals.map(|x| x.wrapping_mul(3)), m);
-            })
-            .expect("clean launch");
-        (gpu.l1_stats(), gpu.l2_stats(), k.sm_cycle_deltas)
-    };
-
-    for profile in sched_profiles() {
-        for plan in [FaultPlan::none(), FaultPlan::everything(0xfa11)] {
-            // Reference: lockstep single-thread schedule.
-            let reference = run_one(&profile, plan, 8, 1);
-            for host in HOST_THREADS {
-                for workers in [1usize, 2, 3, 8] {
-                    assert_eq!(
-                        run_one(&profile, plan, workers, host),
-                        reference,
-                        "{}/{}/host={host}/workers={workers}: stats not schedule-free",
-                        profile.name,
-                        plan.to_spec()
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Per-level cache statistics are part of the serial timing record: the
 /// L1 and L2 `CacheStats` of the three golden configs are pinned to the
 /// values captured from the original implementation. These are the
@@ -477,72 +321,4 @@ fn serial_cache_stats_pinned_per_level() {
             assert_eq!(project(gpu.l2_stats()), l2_want, "{name}/{tag}: L2 stats");
         }
     }
-}
-
-/// Host-parallel cache statistics must be a pure function of the kernel,
-/// not of the worker count or the thread schedule, for any kernel whose
-/// memory traffic does not race across SMs: each SM's private L1 and L2
-/// slice see exactly that SM's fixed work list. The kernel here reads a
-/// shared buffer and writes disjoint per-thread cells — data-independent
-/// by construction, so this pin holds on any host core count. L1 traffic
-/// is also mode-independent (per-SM work lists are identical in serial
-/// mode), so parallel L1 stats must equal serial L1 stats exactly.
-#[test]
-fn parallel_cache_stats_deterministic_across_workers() {
-    const N: usize = 4096;
-    let run_one = |mode: ExecMode| -> (ecl_gpu_sim::CacheStats, ecl_gpu_sim::CacheStats) {
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-        gpu.set_exec_mode(mode);
-        let src = gpu.alloc_from(&(0..N as u32).collect::<Vec<u32>>());
-        let dst = gpu.alloc(N);
-        gpu.try_launch_warps_sync("scale", N, move |w| {
-            let ids = w.thread_ids();
-            let m = w.launch_mask();
-            let vals = w.load(src, &ids, m);
-            w.store(dst, &ids, &vals.map(|x| x.wrapping_mul(3)), m);
-        })
-        .expect("clean launch");
-        (gpu.l1_stats(), gpu.l2_stats())
-    };
-
-    let (serial_l1, _) = run_one(ExecMode::Serial);
-    let (ref_l1, ref_l2) = run_one(ExecMode::HostParallel(1));
-    assert_eq!(ref_l1, serial_l1, "parallel L1 stats diverged from serial");
-    for workers in [2usize, 3, 8] {
-        let (l1, l2) = run_one(ExecMode::HostParallel(workers));
-        assert_eq!(l1, ref_l1, "workers={workers}: L1 stats not deterministic");
-        assert_eq!(l2, ref_l2, "workers={workers}: L2 stats not deterministic");
-    }
-}
-
-/// Serial stats after a host-parallel run must not depend on how the
-/// parallel run's threads happened to interleave: per-SM L1 content is a
-/// function of that SM's own (deterministic) work list, and switching
-/// modes rebuilds the shared L2 cold. Two devices with identical
-/// histories must therefore agree exactly, run after run.
-#[test]
-fn mode_switch_does_not_perturb_serial_stats() {
-    let g = generate::gnm_random(800, 2400, 5);
-    let cfg = EclConfig::default();
-
-    let project = |s: &ecl_cc::gpu::GpuRunStats| -> Vec<(u64, u64, u64, u64)> {
-        s.kernels
-            .iter()
-            .map(|k| (k.cycles, k.instructions, k.l2_read_accesses, k.atomics))
-            .collect()
-    };
-
-    let history = || {
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-        gpu.set_exec_mode(ExecMode::HostParallel(3));
-        let _ = ecl_cc::gpu::run(&mut gpu, &g, &cfg);
-        gpu.set_exec_mode(ExecMode::Serial);
-        let (r, s) = ecl_cc::gpu::run(&mut gpu, &g, &cfg);
-        (r.labels, project(&s))
-    };
-
-    let (labels_a, stats_a) = history();
-    let (labels_b, stats_b) = history();
-    assert_eq!(labels_a, labels_b);
-    assert_eq!(stats_a, stats_b);
 }

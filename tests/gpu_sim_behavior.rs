@@ -78,14 +78,9 @@ fn ecl_beats_all_gpu_baselines_on_most_graphs() {
     for (name, runner) in &ecl_bench::runners::GPU_CODES[1..] {
         let mut ratios = Vec::new();
         for g in &graphs {
-            let ecl = ecl_bench::runners::run_gpu_code(
-                ecl_bench::runners::GPU_CODES[0].1,
-                &titan,
-                g,
-                ecl_gpu_sim::ExecMode::Serial,
-            );
-            let other =
-                ecl_bench::runners::run_gpu_code(*runner, &titan, g, ecl_gpu_sim::ExecMode::Serial);
+            let ecl =
+                ecl_bench::runners::run_gpu_code(ecl_bench::runners::GPU_CODES[0].1, &titan, g);
+            let other = ecl_bench::runners::run_gpu_code(*runner, &titan, g);
             ratios.push(other / ecl);
         }
         let gm = geomean(&ratios);

@@ -7,15 +7,12 @@
 //!   values with recording enabled.)
 //! * **Round trip**: the Chrome trace-event exporter and the parser are
 //!   inverse functions — export → parse reproduces the exact span tree.
-//! * **HostParallel determinism**: for a data-independent kernel, the
-//!   recorded metric totals are a pure function of the kernel, not of
-//!   the worker count or thread schedule.
 //! * **Engine traces**: a batch run with a recorder in the ladder config
 //!   produces schema-valid traces with one job span per job and the
 //!   full kernel/ladder/queue event complement.
 
 use ecl_cc::EclConfig;
-use ecl_gpu_sim::{DeviceProfile, ExecMode, Gpu};
+use ecl_gpu_sim::{DeviceProfile, Gpu};
 use ecl_graph::generate;
 use ecl_obs::{
     parse_chrome_trace, validate_chrome_trace, EventKind, Recorder, PID_ENGINE, PID_SIM,
@@ -124,48 +121,11 @@ fn chrome_trace_round_trips_the_span_tree() {
         };
         cursor += dur;
     }
-}
-
-/// For a data-independent kernel (shared reads, disjoint writes) the
-/// recorded metric totals, all but the host wall time `sim.host_ns`, must
-/// not depend on the execution mode or the host worker count.
-#[test]
-fn host_parallel_metric_totals_deterministic_across_workers() {
-    const N: usize = 4096;
-    let run_one = |mode: ExecMode| {
-        let rec = Recorder::new();
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-        gpu.set_exec_mode(mode);
-        gpu.set_recorder(Some(rec.clone()));
-        let src = gpu.alloc_from(&(0..N as u32).collect::<Vec<u32>>());
-        let dst = gpu.alloc(N);
-        gpu.try_launch_warps_sync("scale", N, move |w| {
-            let ids = w.thread_ids();
-            let m = w.launch_mask();
-            let vals = w.load(src, &ids, m);
-            w.store(dst, &ids, &vals.map(|x| x.wrapping_mul(3)), m);
-        })
-        .expect("clean launch");
-        // Host wall time is recorded beside the simulated totals but is
-        // not a function of the kernel; everything else must be.
-        let mut metrics = rec.metrics();
-        assert!(
-            metrics.remove("sim.host_ns").is_some(),
-            "sim.host_ns missing"
-        );
-        metrics
-    };
-
-    let reference = run_one(ExecMode::Serial);
-    assert!(reference.contains_key("sim.instructions"));
-    assert!(reference.contains_key("sim.cycles"));
-    for workers in [1usize, 2, 3, 8] {
-        let got = run_one(ExecMode::HostParallel(workers));
-        assert_eq!(
-            got, reference,
-            "workers={workers}: metric totals diverged from serial"
-        );
-    }
+    // The launches' host wall time is summed beside the simulated totals.
+    assert!(
+        rec.metrics().contains_key("sim.host_ns"),
+        "sim.host_ns missing"
+    );
 }
 
 /// A batch run with a recorder plugged into the ladder config emits a

@@ -263,6 +263,10 @@ fn watchdog_converts_livelock_into_structured_error() {
         }
         other => panic!("expected Watchdog, got {other}"),
     }
+    // The device stays usable after the abort.
+    gpu.set_watchdog(None);
+    gpu.health_probe()
+        .expect("device usable after a watchdog abort");
 }
 
 #[test]
@@ -285,6 +289,8 @@ fn oob_access_becomes_memory_fault() {
         })
         .expect_err("out-of-bounds read must be caught");
     assert!(matches!(err, SimError::MemoryFault { .. }), "got {err}");
+    gpu.health_probe()
+        .expect("device usable after a memory fault");
 }
 
 #[test]
