@@ -689,7 +689,6 @@ pub fn verify_sweep(scale: Scale, threads: usize, profile: &DeviceProfile) -> Ve
             } else {
                 "host".into()
             },
-            ..Default::default()
         });
     };
 
@@ -830,7 +829,6 @@ pub fn batch_throughput(threads: usize) -> Vec<BenchRecord> {
             simulated: false,
             verified: None,
             device: cfg.ladder.profile.name.to_string(),
-            ..Default::default()
         });
     };
 

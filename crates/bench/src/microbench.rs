@@ -83,7 +83,6 @@ pub fn hot_paths() -> Vec<crate::report::BenchRecord> {
             simulated: false,
             verified: None,
             device: "host".into(),
-            ..Default::default()
         });
     };
 

@@ -20,7 +20,7 @@ pub struct VerifyOutcome {
 }
 
 /// One measured (experiment, graph, code) data point.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BenchRecord {
     /// Experiment name (e.g. `"verify-sweep"`, `"table5"`).
     pub experiment: String,
@@ -35,12 +35,6 @@ pub struct BenchRecord {
     pub simulated: bool,
     /// Certification outcome; `None` when the run was not verified.
     pub verified: Option<VerifyOutcome>,
-    /// Wall-clock speedup of this run over a matching reference run
-    /// (omitted from the JSON when `None`).
-    pub speedup_vs_serial: Option<f64>,
-    /// Simulated edges processed per host wall-clock second — the
-    /// simulator-throughput metric (omitted from the JSON when `None`).
-    pub sim_edges_per_sec: Option<f64>,
     /// Device profile name for simulated runs (`"host"` for CPU codes).
     pub device: String,
 }
@@ -69,25 +63,17 @@ impl BenchRecord {
                 json_escape(&v.detail)
             ),
         };
-        let mut extra = String::new();
-        if let Some(s) = self.speedup_vs_serial {
-            extra.push_str(&format!(",\"speedup_vs_serial\":{}", json_f64(s)));
-        }
-        if let Some(e) = self.sim_edges_per_sec {
-            extra.push_str(&format!(",\"sim_edges_per_sec\":{}", json_f64(e)));
-        }
         format!(
             "{{\"experiment\":\"{}\",\"graph\":\"{}\",\"code\":\"{}\",\
              \"device\":\"{}\",\
-             \"time_ms\":{},\"simulated\":{},\"verified\":{}{}}}",
+             \"time_ms\":{},\"simulated\":{},\"verified\":{}}}",
             json_escape(&self.experiment),
             json_escape(&self.graph),
             json_escape(&self.code),
             json_escape(&self.device),
             json_f64(self.time_ms),
             self.simulated,
-            verified,
-            extra
+            verified
         )
     }
 }
@@ -132,8 +118,6 @@ mod tests {
                 components: 7,
                 detail: String::new(),
             }),
-            speedup_vs_serial: None,
-            sim_edges_per_sec: None,
             device: "titan-x".into(),
         }
     }
@@ -174,18 +158,6 @@ mod tests {
         let doc = report_to_json(&[ok, bad]);
         assert!(doc.contains("\"all_verified\": false"));
         assert!(doc.contains("crosses labels"));
-    }
-
-    #[test]
-    fn optional_throughput_fields() {
-        let mut r = record();
-        assert!(!r.to_json().contains("speedup_vs_serial"));
-        assert!(!r.to_json().contains("sim_edges_per_sec"));
-        r.speedup_vs_serial = Some(1.25);
-        r.sim_edges_per_sec = Some(2e6);
-        let j = r.to_json();
-        assert!(j.contains("\"speedup_vs_serial\":1.25"));
-        assert!(j.contains("\"sim_edges_per_sec\":2000000"));
     }
 
     #[test]

@@ -376,13 +376,8 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 eprintln!("trace written to {out}");
             }
             if let Some(out) = flag(args, "--labels") {
-                let text: String = r
-                    .labels
-                    .iter()
-                    .enumerate()
-                    .map(|(v, l)| format!("{v} {l}\n"))
-                    .collect();
-                std::fs::write(&out, text).map_err(|e| format!("{out}: {e}"))?;
+                std::fs::write(&out, ecl_engine::labels_to_bytes(&r.labels))
+                    .map_err(|e| format!("{out}: {e}"))?;
                 println!("labels written to {out}");
             }
             Ok(())

@@ -36,6 +36,7 @@ use crate::rounds::{Certified, Rounds};
 use crate::spec::{jobs_digest, GraphStore, JobSpec};
 use ecl_cc::ladder::LadderConfig;
 use ecl_cc::EclError;
+use ecl_obs::durable::push_decimal;
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -107,11 +108,14 @@ impl Default for EngineConfig {
 /// bytes that must be identical between a resumed and an uninterrupted
 /// run.
 pub fn labels_to_bytes(labels: &[u32]) -> Vec<u8> {
-    let mut out = String::with_capacity(labels.len() * 8);
-    for (v, l) in labels.iter().enumerate() {
-        out.push_str(&format!("{v} {l}\n"));
+    let mut out = Vec::with_capacity(labels.len() * 16);
+    for (v, &l) in labels.iter().enumerate() {
+        push_decimal(&mut out, v as u64);
+        out.push(b' ');
+        push_decimal(&mut out, l.into());
+        out.push(b'\n');
     }
-    out.into_bytes()
+    out
 }
 
 struct Shared<'a> {
@@ -472,4 +476,34 @@ fn finish_job(
         error: None,
         time_ms: ms(t0),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::labels_to_bytes;
+    use ecl_graph::generate::Pcg32;
+
+    /// The result-file bytes equal the `format!`-built text they replaced,
+    /// so journal digests and resumed runs stay byte-identical.
+    #[test]
+    fn labels_to_bytes_matches_formatted_text() {
+        let reference = |labels: &[u32]| -> Vec<u8> {
+            let text: String = labels
+                .iter()
+                .enumerate()
+                .map(|(v, l)| format!("{v} {l}\n"))
+                .collect();
+            text.into_bytes()
+        };
+        assert_eq!(labels_to_bytes(&[]), b"");
+        assert_eq!(
+            labels_to_bytes(&[0, 9, 10, u32::MAX]),
+            b"0 0\n1 9\n2 10\n3 4294967295\n"
+        );
+        let mut rng = Pcg32::new(7);
+        let labels: Vec<u32> = (0..1000)
+            .map(|_| rng.next_u32() >> (rng.next_u32() % 32))
+            .collect();
+        assert_eq!(labels_to_bytes(&labels), reference(&labels));
+    }
 }

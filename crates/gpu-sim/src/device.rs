@@ -6,6 +6,11 @@
 //! shuffle under a scheduler-chaos fault plan). That one execution model
 //! is the timing record: cycles, cache stats and fault draws are
 //! golden-pinned by `tests/exec_equivalence.rs`.
+//!
+//! The [`Gpu`] owns its state outright: plain-word memory, the caches,
+//! the SM cycle counters and one [`KernelStats`] record for the launch in
+//! flight. A launch lends them to each warp by `&mut`, and
+//! `finish_launch` takes the record when the launch ends.
 
 use crate::cache::{Cache, CacheStats};
 use crate::error::{SimError, WatchdogAbort};
@@ -79,7 +84,10 @@ pub enum ExecMode {
     Serial,
 }
 
-/// Counters gathered for one kernel launch.
+/// Counters gathered for one kernel launch. The launch accumulates them in
+/// place as its warps run; they are pure bookkeeping and never influence
+/// cycle charges, cache behaviour or fault-RNG draws, so recording them
+/// cannot perturb the golden-pinned timing record.
 #[derive(Clone, Debug, Default)]
 pub struct KernelStats {
     /// Kernel name as passed to the launch call.
@@ -103,7 +111,7 @@ pub struct KernelStats {
     pub atomics: u64,
     /// Number of warps executed.
     pub warps: u64,
-    /// Cycles spent in ALU instructions (including shuffles/reductions).
+    /// Cycles spent in ALU instructions.
     pub alu_cycles: u64,
     /// Cycles spent on transactions served by the L1.
     pub l1_cycles: u64,
@@ -205,7 +213,9 @@ pub struct Gpu {
     pub(crate) l1: Vec<Cache>,
     l2: Cache,
     pub(crate) sm_cycles: Vec<u64>,
-    pub(crate) cur: LaunchCounters,
+    /// Counters of the launch in flight, reset by [`Self::begin_launch`]
+    /// and taken by [`Self::finish_launch`].
+    pub(crate) cur: KernelStats,
     kernels: Vec<KernelStats>,
     pub(crate) fault: FaultPlan,
     pub(crate) fault_rng: FaultRng,
@@ -227,30 +237,6 @@ pub struct Gpu {
     trace_ctx: Option<ecl_obs::TraceCtx>,
     /// Cumulative kernel cycles, the `ts` base of the simulated timeline.
     timeline_cycles: u64,
-}
-
-/// Counters accumulated while a launch is in flight. All fields are pure
-/// bookkeeping: they never influence cycle charges, cache behaviour, or
-/// fault-RNG draws, so recording them cannot perturb the golden-pinned
-/// serial timing record.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct LaunchCounters {
-    pub instructions: u64,
-    pub l1_hits: u64,
-    pub dram: u64,
-    pub atomics: u64,
-    pub warps: u64,
-    pub alu_cycles: u64,
-    pub l1_cycles: u64,
-    pub l2_cycles: u64,
-    pub dram_cycles: u64,
-    pub atomic_cycles: u64,
-    pub stall_cycles: u64,
-    pub cas_attempts: u64,
-    pub cas_failures: u64,
-    pub mask_ops: u64,
-    pub active_lanes: u64,
-    pub full_mask_ops: u64,
 }
 
 impl Gpu {
@@ -280,7 +266,7 @@ impl Gpu {
             l1,
             l2,
             sm_cycles,
-            cur: LaunchCounters::default(),
+            cur: KernelStats::default(),
             kernels: Vec::new(),
             fault: FaultPlan::none(),
             fault_rng: FaultRng::new(0, 0),
@@ -399,7 +385,7 @@ impl Gpu {
     /// the device's per-SM and shared state.
     fn sm_view(&mut self, sm: usize) -> SmView<'_> {
         SmView {
-            mem: &self.mem,
+            mem: &mut self.mem,
             l2: &mut self.l2,
             l1: &mut self.l1[sm],
             cycles: &mut self.sm_cycles[sm],
@@ -424,7 +410,6 @@ impl Gpu {
     {
         self.begin_launch();
         let before = (self.l1_stats(), self.l2_stats());
-        self.cur = LaunchCounters::default();
 
         let warps_per_block = self.profile.warps_per_block();
         let num_warps = total_threads.div_ceil(LANES);
@@ -458,7 +443,6 @@ impl Gpu {
     {
         self.begin_launch();
         let before = (self.l1_stats(), self.l2_stats());
-        self.cur = LaunchCounters::default();
 
         let mut order = std::mem::take(&mut self.warp_order);
         order.clear();
@@ -603,11 +587,13 @@ impl Gpu {
         }
     }
 
-    /// Per-launch prologue: advances the fault-RNG stream, snapshots SM
-    /// counters for the watchdog (reusing the snapshot buffer — no
-    /// per-launch allocation) and notes the host start time.
+    /// Per-launch prologue: resets the counter record, advances the
+    /// fault-RNG stream, snapshots SM counters for the watchdog (reusing
+    /// the snapshot buffer — no per-launch allocation) and notes the host
+    /// start time.
     fn begin_launch(&mut self) {
         self.launch_started = Instant::now();
+        self.cur = KernelStats::default();
         self.launch_index += 1;
         self.fault_rng = FaultRng::new(self.fault.seed, self.launch_index);
         self.launch_start_sm.clone_from(&self.sm_cycles);
@@ -643,27 +629,12 @@ impl Gpu {
         let stats = KernelStats {
             name: name.to_string(),
             cycles: max_delta + self.profile.launch_overhead_cycles,
-            instructions: self.cur.instructions,
-            l1_hit_transactions: self.cur.l1_hits,
             l2_read_accesses: l2_now.read_accesses - l2_before.read_accesses,
             l2_write_accesses: l2_now.write_accesses - l2_before.write_accesses,
-            dram_transactions: self.cur.dram,
-            atomics: self.cur.atomics,
-            warps: self.cur.warps,
-            alu_cycles: self.cur.alu_cycles,
-            l1_cycles: self.cur.l1_cycles,
-            l2_cycles: self.cur.l2_cycles,
-            dram_cycles: self.cur.dram_cycles,
-            atomic_cycles: self.cur.atomic_cycles,
-            stall_cycles: self.cur.stall_cycles,
-            cas_attempts: self.cur.cas_attempts,
-            cas_failures: self.cur.cas_failures,
-            mask_ops: self.cur.mask_ops,
-            active_lanes: self.cur.active_lanes,
-            full_mask_ops: self.cur.full_mask_ops,
             sm_cycle_deltas,
             l1_cache: l1_now.delta(&l1_before),
             l2_cache: l2_now.delta(&l2_before),
+            ..std::mem::take(&mut self.cur)
         };
         self.emit_launch_span(&stats);
         self.timeline_cycles += stats.cycles;

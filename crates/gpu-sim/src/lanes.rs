@@ -259,9 +259,10 @@ impl Lanes {
         Mask(bits)
     }
 
-    /// Generic comparison producing a mask (branch-free bit fold).
+    /// Comparison producing a mask (branch-free bit fold), shared by the
+    /// five comparisons above.
     #[inline]
-    pub fn cmp_mask(&self, other: &Lanes, f: impl Fn(u32, u32) -> bool) -> Mask {
+    fn cmp_mask(&self, other: &Lanes, f: impl Fn(u32, u32) -> bool) -> Mask {
         let mut bits = 0u32;
         for i in 0..LANES {
             bits |= (f(self.0[i], other.0[i]) as u32) << i;
@@ -324,26 +325,6 @@ impl Lanes {
             m = m.min(v);
         }
         Some(m)
-    }
-
-    /// Wrapping sum over the lanes selected by `mask` (0 when mask
-    /// empty). Inactive lanes are blended to 0; wrapping addition is
-    /// associative and commutative mod 2³², so the fixed reduction order
-    /// matches any per-active-lane accumulation exactly.
-    #[inline]
-    pub fn sum_masked(&self, mask: Mask) -> u32 {
-        let mut acc = [0u32; 8];
-        for (c, chunk) in self.0.chunks_exact(8).enumerate() {
-            for i in 0..8 {
-                let take = ((mask.0 >> (c * 8 + i)) & 1).wrapping_neg();
-                acc[i] = acc[i].wrapping_add(chunk[i] & take);
-            }
-        }
-        let mut s = 0u32;
-        for v in acc {
-            s = s.wrapping_add(v);
-        }
-        s
     }
 }
 
@@ -450,16 +431,14 @@ mod tests {
                 assert_eq!(sel.get(i), want, "select lane {i} mask {:#x}", m.0);
                 assert_eq!(asg.get(i), want, "assign lane {i} mask {:#x}", m.0);
             }
-            // min_masked / sum_masked
+            // min_masked
             assert_eq!(
                 vals.min_masked(m),
                 m.iter().map(|i| vals.get(i)).min(),
                 "min mask {:#x}",
                 m.0
             );
-            let want_sum = m.iter().fold(0u32, |s, i| s.wrapping_add(vals.get(i)));
-            assert_eq!(vals.sum_masked(m), want_sum, "sum mask {:#x}", m.0);
-            // cmp_mask / lt_scalar bit folds
+            // lt_scalar bit fold
             assert_eq!(vals.lt_scalar(1 << 30).0, {
                 let mut bits = 0u32;
                 for i in 0..LANES {

@@ -32,7 +32,9 @@
 //! in a deterministic order (blocks round-robin over SMs, warps in block
 //! order), so simulations are exactly reproducible — cycles, cache stats,
 //! fault injection, and watchdog behaviour are bit-for-bit. This
-//! serializes the benign data races the paper discusses in §3.
+//! serializes the benign data races the paper discusses in §3, so device
+//! memory is plain words owned by the launching thread, and an atomic is
+//! an ordinary read-modify-write of one word.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

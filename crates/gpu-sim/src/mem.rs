@@ -1,13 +1,9 @@
 //! Simulated global memory: a flat word-addressed space with a bump
 //! allocator and typed buffer handles.
 //!
-//! Words are stored as [`AtomicU32`] with `Relaxed` orderings. Every
-//! launch runs on one thread, where a relaxed atomic is exactly a plain
-//! load/store, so the words could be plain `u32`s; they stay atomic until
-//! a measurement shows that plain words pay for the change in host cost
-//! (ROADMAP item 8). The simulated results are the same either way.
-
-use std::sync::atomic::{AtomicU32, Ordering};
+//! Words are plain `u32`s owned by the [`crate::Gpu`]. Every launch runs
+//! on the calling thread, which holds the memory by `&mut` for the whole
+//! launch, so a read-modify-write is an ordinary compare-then-store.
 
 /// Handle to a device buffer: a base *word* address and a length in words.
 ///
@@ -42,7 +38,7 @@ impl DevicePtr {
 /// Flat global memory backing all device buffers.
 #[derive(Debug, Default)]
 pub struct GlobalMemory {
-    words: Vec<AtomicU32>,
+    words: Vec<u32>,
 }
 
 impl GlobalMemory {
@@ -51,27 +47,29 @@ impl GlobalMemory {
         GlobalMemory { words: Vec::new() }
     }
 
+    /// Flat index of element `idx`, panicking with the `"device {what}
+    /// OOB"` text that `Gpu::classify_abort` turns into a memory fault.
     #[inline]
-    fn cell(&self, ptr: DevicePtr, idx: usize, what: &str) -> &AtomicU32 {
+    fn slot(ptr: DevicePtr, idx: usize, what: &str) -> usize {
         assert!(
             idx < ptr.len,
             "device {what} OOB: idx {idx} >= len {}",
             ptr.len
         );
-        &self.words[ptr.base as usize + idx]
+        ptr.base as usize + idx
     }
 
     /// Allocates a zero-initialized buffer of `len` words.
     pub fn alloc(&mut self, len: usize) -> DevicePtr {
         let base = self.words.len() as u64;
-        self.words.extend((0..len).map(|_| AtomicU32::new(0)));
+        self.words.resize(self.words.len() + len, 0);
         DevicePtr { base, len }
     }
 
     /// Allocates a buffer holding a copy of `data`.
     pub fn alloc_from(&mut self, data: &[u32]) -> DevicePtr {
         let base = self.words.len() as u64;
-        self.words.extend(data.iter().map(|&w| AtomicU32::new(w)));
+        self.words.extend_from_slice(data);
         DevicePtr {
             base,
             len: data.len(),
@@ -82,60 +80,55 @@ impl GlobalMemory {
     /// `cudaMemcpy` outside the timed region, as the paper excludes
     /// transfer time).
     pub fn download(&self, ptr: DevicePtr) -> Vec<u32> {
-        self.words[ptr.base as usize..ptr.base as usize + ptr.len]
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        self.words[ptr.base as usize..ptr.base as usize + ptr.len].to_vec()
     }
 
     /// Host-side write of a whole buffer.
     pub fn upload(&mut self, ptr: DevicePtr, data: &[u32]) {
         assert_eq!(data.len(), ptr.len, "upload size mismatch");
-        for (cell, &v) in self.words[ptr.base as usize..ptr.base as usize + ptr.len]
-            .iter()
-            .zip(data)
-        {
-            cell.store(v, Ordering::Relaxed);
-        }
+        self.words[ptr.base as usize..ptr.base as usize + ptr.len].copy_from_slice(data);
     }
 
     /// Raw word read with bounds check.
     #[inline]
     pub fn read(&self, ptr: DevicePtr, idx: usize) -> u32 {
-        self.cell(ptr, idx, "read").load(Ordering::Relaxed)
+        self.words[Self::slot(ptr, idx, "read")]
     }
 
-    /// Raw word write with bounds check. Takes `&self`: words are atomic,
-    /// so a warp can write while other views borrow the same memory.
+    /// Raw word write with bounds check.
     #[inline]
-    pub fn write(&self, ptr: DevicePtr, idx: usize, v: u32) {
-        self.cell(ptr, idx, "write").store(v, Ordering::Relaxed)
+    pub fn write(&mut self, ptr: DevicePtr, idx: usize, v: u32) {
+        self.words[Self::slot(ptr, idx, "write")] = v;
     }
 
     /// Real `atomicCAS`: installs `new` iff the word equals `cmp`; returns
     /// the pre-operation value either way.
     #[inline]
-    pub fn cas(&self, ptr: DevicePtr, idx: usize, cmp: u32, new: u32) -> u32 {
-        match self.cell(ptr, idx, "cas").compare_exchange(
-            cmp,
-            new,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(old) | Err(old) => old,
+    pub fn cas(&mut self, ptr: DevicePtr, idx: usize, cmp: u32, new: u32) -> u32 {
+        let w = &mut self.words[Self::slot(ptr, idx, "cas")];
+        let old = *w;
+        if old == cmp {
+            *w = new;
         }
+        old
     }
 
     /// Real `atomicAdd` (wrapping); returns the pre-add value.
     #[inline]
-    pub fn fetch_add(&self, ptr: DevicePtr, idx: usize, v: u32) -> u32 {
-        self.cell(ptr, idx, "add").fetch_add(v, Ordering::Relaxed)
+    pub fn fetch_add(&mut self, ptr: DevicePtr, idx: usize, v: u32) -> u32 {
+        let w = &mut self.words[Self::slot(ptr, idx, "add")];
+        let old = *w;
+        *w = old.wrapping_add(v);
+        old
     }
 
     /// Real `atomicMin`; returns the pre-min value.
     #[inline]
-    pub fn fetch_min(&self, ptr: DevicePtr, idx: usize, v: u32) -> u32 {
-        self.cell(ptr, idx, "min").fetch_min(v, Ordering::Relaxed)
+    pub fn fetch_min(&mut self, ptr: DevicePtr, idx: usize, v: u32) -> u32 {
+        let w = &mut self.words[Self::slot(ptr, idx, "min")];
+        let old = *w;
+        *w = old.min(v);
+        old
     }
 
     /// Total allocated words.

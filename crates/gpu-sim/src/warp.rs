@@ -8,11 +8,12 @@
 //!
 //! Both contexts are built on an [`SmView`]: the slice of device state one
 //! simulated SM may touch while executing a warp — its private L1 and
-//! cycle counter, plus the device's memory and L2, all borrowed straight
-//! out of the [`crate::Gpu`] for the duration of one warp or block.
+//! cycle counter, plus the device's memory, L2 and the launch's counter
+//! record, all borrowed mutably out of the [`crate::Gpu`] for the
+//! duration of one warp or block.
 
 use crate::cache::{Cache, Lookup};
-use crate::device::LaunchCounters;
+use crate::device::KernelStats;
 use crate::error::WatchdogAbort;
 use crate::fault::{FaultPlan, FaultRng};
 use crate::lanes::{Lanes, Mask};
@@ -20,17 +21,17 @@ use crate::mem::{DevicePtr, GlobalMemory};
 use crate::profile::DeviceProfile;
 use crate::LANES;
 
-/// Everything one SM needs to execute a warp: shared device state by
-/// reference, the SM's own state and the device's one L2 by mutable
-/// reference.
+/// Everything one SM needs to execute a warp: the device's memory, L2
+/// and counter record and the SM's own state by mutable reference, the
+/// profile by shared reference.
 pub(crate) struct SmView<'a> {
-    pub(crate) mem: &'a GlobalMemory,
+    pub(crate) mem: &'a mut GlobalMemory,
     pub(crate) l2: &'a mut Cache,
     pub(crate) l1: &'a mut Cache,
     pub(crate) cycles: &'a mut u64,
     pub(crate) launch_start: u64,
     pub(crate) watchdog: Option<u64>,
-    pub(crate) counters: &'a mut LaunchCounters,
+    pub(crate) counters: &'a mut KernelStats,
     pub(crate) fault: FaultPlan,
     pub(crate) rng: &'a mut FaultRng,
     pub(crate) profile: &'a DeviceProfile,
@@ -41,7 +42,7 @@ impl SmView<'_> {
     /// A shorter-lived view over the same SM (for nesting contexts).
     pub(crate) fn reborrow(&mut self) -> SmView<'_> {
         SmView {
-            mem: self.mem,
+            mem: &mut *self.mem,
             l2: &mut *self.l2,
             l1: &mut *self.l1,
             cycles: &mut *self.cycles,
@@ -303,46 +304,6 @@ impl<'a> WarpCtx<'a> {
         out
     }
 
-    /// Warp shuffle: lane `i` receives the value of lane `src_lane.get(i) % 32`
-    /// (like CUDA `__shfl_sync`). Register traffic only — no memory cost.
-    pub fn shfl(&mut self, vals: &Lanes, src_lane: &Lanes, mask: Mask) -> Lanes {
-        let mut out = Lanes::default();
-        for lane in mask.iter() {
-            out.set(lane, vals.get(src_lane.get(lane) as usize % LANES));
-        }
-        self.alu(1);
-        out
-    }
-
-    /// Warp-wide minimum over the active lanes (butterfly reduction,
-    /// log2(32) = 5 instructions). Returns `u32::MAX` when no lane is
-    /// active.
-    pub fn reduce_min(&mut self, vals: &Lanes, mask: Mask) -> u32 {
-        self.alu(5);
-        vals.min_masked(mask).unwrap_or(u32::MAX)
-    }
-
-    /// Warp-wide wrapping sum over the active lanes (butterfly reduction).
-    pub fn reduce_add(&mut self, vals: &Lanes, mask: Mask) -> u32 {
-        self.alu(5);
-        vals.sum_masked(mask)
-    }
-
-    /// Exclusive prefix sum over the active lanes, in lane order: each
-    /// active lane receives the sum of the active lanes before it
-    /// (inactive lanes receive 0). The building block of warp-level
-    /// compaction (Gunrock-style filters use the block-level analogue).
-    pub fn exclusive_scan_add(&mut self, vals: &Lanes, mask: Mask) -> Lanes {
-        let mut out = Lanes::default();
-        let mut acc = 0u32;
-        for lane in mask.iter() {
-            out.set(lane, acc);
-            acc = acc.wrapping_add(vals.get(lane));
-        }
-        self.alu(5);
-        out
-    }
-
     /// Untimed, uncounted read of one element — **instrumentation only**
     /// (e.g. the path-length probe behind the paper's Table 4). Does not
     /// touch the caches, charge cycles, or count as an instruction.
@@ -362,7 +323,7 @@ impl<'a> WarpCtx<'a> {
         // Atomics bypass L1 and are resolved at L2 as one read-modify-write.
         let l2r = self.view.l2.access(addr, false);
         if matches!(l2r, Lookup::Miss { .. }) {
-            self.view.counters.dram += 1;
+            self.view.counters.dram_transactions += 1;
         }
         let _ = self.view.l2.access(addr, true);
         self.view.counters.atomics += 1;
@@ -461,8 +422,8 @@ impl<'a> WarpCtx<'a> {
             }
         }
         let counters = &mut *self.view.counters;
-        counters.l1_hits += l1_hits;
-        counters.dram += dram;
+        counters.l1_hit_transactions += l1_hits;
+        counters.dram_transactions += dram;
         counters.l1_cycles += l1_cyc;
         counters.l2_cycles += l2_cyc;
         counters.dram_cycles += dram_cyc;
@@ -588,50 +549,6 @@ mod tests {
             assert_eq!(w.load_uniform(buf, 2), 7);
         });
         assert_eq!(gpu.kernel_stats()[0].l2_read_accesses, 1);
-    }
-
-    #[test]
-    fn shfl_broadcast_and_rotate() {
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-        gpu.launch_warps("t", 32, |w| {
-            let vals = w.thread_ids();
-            // Broadcast lane 5 to everyone.
-            let b = w.shfl(&vals, &Lanes::splat(5), Mask::ALL);
-            assert_eq!(b, Lanes::splat(5));
-            // Rotate by one.
-            let idx = Lanes::iota(1, 1); // lane 31 reads 32 % 32 = 0
-            let r = w.shfl(&vals, &idx, Mask::ALL);
-            assert_eq!(r.get(0), 1);
-            assert_eq!(r.get(31), 0);
-        });
-    }
-
-    #[test]
-    fn warp_reductions() {
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-        gpu.launch_warps("t", 32, |w| {
-            let vals = w.thread_ids().add_scalar(10);
-            assert_eq!(w.reduce_min(&vals, Mask::ALL), 10);
-            assert_eq!(w.reduce_min(&vals, Mask(0b1000)), 13);
-            assert_eq!(w.reduce_min(&vals, Mask::NONE), u32::MAX);
-            assert_eq!(w.reduce_add(&Lanes::splat(2), Mask::ALL), 64);
-            assert_eq!(w.reduce_add(&Lanes::splat(2), Mask::first(5)), 10);
-        });
-    }
-
-    #[test]
-    fn warp_scan_compaction_pattern() {
-        // The canonical use: exclusive scan of 0/1 flags gives each
-        // surviving lane its output slot.
-        let mut gpu = Gpu::new(DeviceProfile::test_tiny());
-        gpu.launch_warps("t", 32, |w| {
-            let keep = Mask(0b1011_0110);
-            let ones = Lanes::splat(1);
-            let slots = w.exclusive_scan_add(&ones, keep);
-            let expected: Vec<u32> = (0..keep.count() as u32).collect();
-            let got: Vec<u32> = keep.iter().map(|l| slots.get(l)).collect();
-            assert_eq!(got, expected);
-        });
     }
 
     #[test]

@@ -26,6 +26,23 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Appends the decimal digits of `v` to `out`, with no allocation: the
+/// number format of the durable text files (snapshots, result files),
+/// which are rendered into one buffer.
+pub fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
 /// Writes `bytes` to `path` atomically and durably: temp file
 /// `.tmp-<name>` in the same directory, fsync, rename, then fsync the
 /// directory so the rename itself survives a crash. Readers never

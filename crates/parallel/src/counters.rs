@@ -39,74 +39,9 @@ impl WorkCounter {
     }
 }
 
-/// A pair of cursors growing toward each other from the two ends of one
-/// shared buffer — the paper's **double-sided worklist** ("ECL-CC utilizes
-/// a double-sided worklist of size n, which the first kernel populates on
-/// one side with the vertices for the second kernel and on the other side
-/// with the vertices for the third kernel", §3).
-#[derive(Debug)]
-pub struct DoubleSidedCursors {
-    capacity: usize,
-    front: AtomicUsize,
-    /// Stored as "slots taken from the back" so both sides only grow.
-    back: AtomicUsize,
-}
-
-impl DoubleSidedCursors {
-    /// Cursors over a buffer of `capacity` slots.
-    pub fn new(capacity: usize) -> Self {
-        DoubleSidedCursors {
-            capacity,
-            front: AtomicUsize::new(0),
-            back: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims one slot at the front; `None` when the two sides would collide.
-    #[inline]
-    pub fn push_front(&self) -> Option<usize> {
-        let i = self.front.fetch_add(1, Ordering::Relaxed);
-        if i + self.back.load(Ordering::Relaxed) >= self.capacity {
-            self.front.fetch_sub(1, Ordering::Relaxed);
-            None
-        } else {
-            Some(i)
-        }
-    }
-
-    /// Claims one slot at the back (index counts down from `capacity - 1`);
-    /// `None` when full.
-    #[inline]
-    pub fn push_back(&self) -> Option<usize> {
-        let i = self.back.fetch_add(1, Ordering::Relaxed);
-        if self.front.load(Ordering::Relaxed) + i >= self.capacity {
-            self.back.fetch_sub(1, Ordering::Relaxed);
-            None
-        } else {
-            Some(self.capacity - 1 - i)
-        }
-    }
-
-    /// Number of slots taken at the front.
-    pub fn front_len(&self) -> usize {
-        self.front.load(Ordering::Relaxed)
-    }
-
-    /// Number of slots taken at the back.
-    pub fn back_len(&self) -> usize {
-        self.back.load(Ordering::Relaxed)
-    }
-
-    /// Total buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel_for_teams;
 
     #[test]
     fn claim_covers_range_without_overlap() {
@@ -136,57 +71,5 @@ mod tests {
         assert!(c.claim(10, 10).is_none());
         c.reset();
         assert!(c.claim(10, 10).is_some());
-    }
-
-    #[test]
-    fn double_sided_slots_disjoint() {
-        let c = DoubleSidedCursors::new(100);
-        let mut used = [false; 100];
-        for k in 0..100 {
-            let slot = if k % 2 == 0 {
-                c.push_front()
-            } else {
-                c.push_back()
-            };
-            let slot = slot.expect("capacity 100 should fit 100 pushes");
-            assert!(!used[slot], "slot {slot} reused");
-            used[slot] = true;
-        }
-        assert!(c.push_front().is_none());
-        assert!(c.push_back().is_none());
-        assert_eq!(c.front_len() + c.back_len(), 100);
-    }
-
-    #[test]
-    fn double_sided_concurrent_no_collision() {
-        let c = DoubleSidedCursors::new(10_000);
-        let slots: Vec<std::sync::atomic::AtomicUsize> = (0..10_000)
-            .map(|_| std::sync::atomic::AtomicUsize::new(0))
-            .collect();
-        parallel_for_teams(8, |tid| {
-            for k in 0..1000 {
-                let slot = if (tid + k) % 2 == 0 {
-                    c.push_front().unwrap()
-                } else {
-                    c.push_back().unwrap()
-                };
-                slots[slot].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        });
-        let taken: usize = slots
-            .iter()
-            .map(|s| s.load(std::sync::atomic::Ordering::Relaxed))
-            .sum();
-        assert_eq!(taken, 8000);
-        assert!(slots
-            .iter()
-            .all(|s| s.load(std::sync::atomic::Ordering::Relaxed) <= 1));
-    }
-
-    #[test]
-    fn zero_capacity_rejects_everything() {
-        let c = DoubleSidedCursors::new(0);
-        assert!(c.push_front().is_none());
-        assert!(c.push_back().is_none());
     }
 }

@@ -4,8 +4,7 @@
 //! over the vertices … with a guided schedule" (`#pragma omp parallel for
 //! schedule(guided)`). This crate reimplements that substrate from scratch:
 //! [`parallel_for`] distributes an index range over a team of scoped
-//! threads under a [`Schedule`] (static, dynamic, or guided), and
-//! [`parallel_reduce`] adds a per-thread accumulator + combine step.
+//! threads under a [`Schedule`] (static, dynamic, or guided).
 //!
 //! Worker threads are spawned per call with [`std::thread::scope`], which
 //! keeps borrows safe without `'static` bounds and matches the paper's
@@ -146,53 +145,6 @@ where
     }
 }
 
-/// Parallel map-reduce over `0..n`: each thread folds its slice of the
-/// range into a local accumulator seeded by `init`, and the per-thread
-/// results are combined left-to-right with `combine`.
-pub fn parallel_reduce<T, F, C>(nthreads: usize, n: usize, init: T, fold: F, combine: C) -> T
-where
-    T: Clone + Send + Sync,
-    F: Fn(T, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let nthreads = nthreads.max(1);
-    if n == 0 {
-        return init;
-    }
-    if nthreads == 1 {
-        let mut acc = init;
-        for i in 0..n {
-            acc = fold(acc, i);
-        }
-        return acc;
-    }
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        (0..nthreads).map(|_| std::sync::Mutex::new(None)).collect();
-    {
-        let slots = &slots;
-        let fold = &fold;
-        let init_ref = &init;
-        parallel_for_teams(nthreads, |tid| {
-            let mut acc = init_ref.clone();
-            let base = n / nthreads;
-            let extra = n % nthreads;
-            let start = tid * base + tid.min(extra);
-            let len = base + usize::from(tid < extra);
-            for i in start..start + len {
-                acc = fold(acc, i);
-            }
-            *slots[tid].lock().unwrap() = Some(acc);
-        });
-    }
-    let mut acc = init;
-    for slot in slots {
-        if let Some(v) = slot.into_inner().unwrap() {
-            acc = combine(acc, v);
-        }
-    }
-    acc
-}
-
 /// Spawns a team of `nthreads` scoped workers, passing each its 0-based
 /// thread ID, and joins them all. The low-level building block behind the
 /// higher-level loops; exposed for algorithms that need long-lived
@@ -266,32 +218,6 @@ mod tests {
     fn zero_chunk_clamped() {
         check_covers_all(4, 50, Schedule::Dynamic { chunk: 0 });
         check_covers_all(4, 50, Schedule::Guided { min_chunk: 0 });
-    }
-
-    #[test]
-    fn reduce_sums_correctly() {
-        let sum = parallel_reduce(4, 1000, 0u64, |a, i| a + i as u64, |a, b| a + b);
-        assert_eq!(sum, 499_500);
-    }
-
-    #[test]
-    fn reduce_empty_range_returns_init() {
-        let v = parallel_reduce(4, 0, 42u32, |a, _| a + 1, |a, b| a + b);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn reduce_max() {
-        let data: Vec<u32> = (0..500).map(|i| (i * 7919) % 1000).collect();
-        let data_ref = &data;
-        let m = parallel_reduce(
-            3,
-            data.len(),
-            0u32,
-            move |a, i| a.max(data_ref[i]),
-            |a, b| a.max(b),
-        );
-        assert_eq!(m, *data.iter().max().unwrap());
     }
 
     #[test]

@@ -57,8 +57,6 @@ pub struct ServeConfig {
     pub resume: bool,
     /// Concurrent-session cap; excess connections get `BUSY`.
     pub max_conns: usize,
-    /// Socket read poll granularity, milliseconds.
-    pub read_timeout_ms: u64,
     /// Reap a session silent for this long, milliseconds.
     pub idle_timeout_ms: u64,
     /// Snapshot every N durable records (0 = only on graceful drain).
@@ -98,7 +96,6 @@ impl Default for ServeConfig {
             vertices: 1 << 20,
             resume: false,
             max_conns: 256,
-            read_timeout_ms: 50,
             idle_timeout_ms: 10_000,
             snapshot_every: 10_000,
             jobs: JobsConfig::default(),
@@ -378,6 +375,10 @@ fn send_line(stream: &mut TcpStream, mut line: String) -> io::Result<()> {
 /// arrives in one syscall.
 const READ_CHUNK: usize = 4096;
 
+/// Socket read poll granularity: how often a blocked session read wakes
+/// to check the idle deadline and the drain flag.
+const READ_POLL: Duration = Duration::from_millis(50);
+
 /// What [`read_line`] hands the session loop.
 enum ReadOutcome {
     Line(String),
@@ -436,9 +437,7 @@ fn read_line(stream: &mut TcpStream, pending: &mut Vec<u8>, shared: &Shared) -> 
 }
 
 fn run_session(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        shared.cfg.read_timeout_ms.max(1),
-    )));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(2_000)));
     let _ = stream.set_nodelay(true);
 

@@ -37,7 +37,7 @@ use crate::protocol::RequestError;
 use crate::wal::{self, Wal};
 use ecl_cc::incremental::IncrementalCc;
 use ecl_graph::Vertex;
-use ecl_obs::durable::{fnv1a, fnv1a_extend, write_atomic};
+use ecl_obs::durable::{fnv1a, fnv1a_extend, push_decimal, write_atomic};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -267,19 +267,8 @@ fn render_snapshot(parents: &[Vertex], covered: u64) -> Vec<u8> {
     let digest_at = doc.len();
     doc.extend_from_slice(b"0000000000000000\n");
     let body_at = doc.len();
-    let mut digits = [0u8; 10];
     for &p in parents {
-        let mut v = p;
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        doc.extend_from_slice(&digits[i..]);
+        push_decimal(&mut doc, p.into());
         doc.push(b'\n');
     }
     let digest = snapshot_digest(n, covered, &doc[body_at..]);
