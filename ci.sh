@@ -74,6 +74,37 @@ for f in "$BATCH_DIR"/ref/*.labels; do
         || { echo "resume produced different bytes for $(basename "$f")"; exit 1; }
 done
 echo "    resume complete, results byte-identical"
+
+echo "==> batch resume over a torn journal tail"
+# A kill mid-append leaves a journal record torn mid-line. The resumed
+# run must cut it off before appending: otherwise its first record fuses
+# with the tear into one unparseable line, and the next resume loses it.
+run_tear() { # batch flags...
+    "$ECL" batch --jobs "$BATCH_DIR/jobs.txt" --workers 1 \
+        --results "$BATCH_DIR/tear" "$@" > /dev/null 2>&1
+}
+TEAR_JOURNAL="$BATCH_DIR/tear.journal"
+set +e
+run_tear --journal "$TEAR_JOURNAL" --kill-after 3
+set -e
+[ "$(grep -c '^done' "$TEAR_JOURNAL")" -eq 3 ] \
+    || { echo "killed batch did not journal exactly 3 jobs"; exit 1; }
+# Chop the third record mid-line: its job (id 2) reruns on resume.
+truncate -s -10 "$TEAR_JOURNAL"
+set +e
+run_tear --resume "$TEAR_JOURNAL" --kill-after 2
+set -e
+run_tear --resume "$TEAR_JOURNAL" --report "$BATCH_DIR/tear.json"
+grep -q '"complete": true' "$BATCH_DIR/tear.json" \
+    || { echo "batch resumed over a torn journal is not complete"; exit 1; }
+# Jobs 0 and 1 before the tear, and jobs 2 and 3 appended after it.
+grep -q '"resumed": 4' "$BATCH_DIR/tear.json" \
+    || { echo "a journal record appended after the tear was lost"; exit 1; }
+for f in "$BATCH_DIR"/ref/*.labels; do
+    cmp -s "$f" "$BATCH_DIR/tear/$(basename "$f")" \
+        || { echo "torn-journal resume produced different bytes for $(basename "$f")"; exit 1; }
+done
+echo "    torn journal tail cut, 4 jobs resumed, results byte-identical"
 # The same batch through the faulted retry paths: a dead GPU behind a
 # breaker that never cools down, and sharded runs under interconnect
 # chaos. Every job must still certify the reference bytes.

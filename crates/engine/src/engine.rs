@@ -123,7 +123,7 @@ struct Shared<'a> {
     queue: BoundedQueue<JobSpec>,
     /// The retry loop and breakers.
     rounds: Rounds,
-    journal: Option<Mutex<JournalWriter>>,
+    journal: Option<JournalWriter>,
     reports: Mutex<Vec<JobReport>>,
     recorded: AtomicUsize,
     killed: AtomicBool,
@@ -196,12 +196,12 @@ pub fn run_batch(jobs: &[JobSpec], cfg: &EngineConfig) -> Result<BatchReport, St
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     }
     let journal_writer = match &cfg.journal_path {
-        Some(path) => Some(Mutex::new(if cfg.resume {
+        Some(path) => Some(if cfg.resume {
             JournalWriter::append(path).map_err(|e| format!("{}: {e}", path.display()))?
         } else {
             JournalWriter::create(path, digest, jobs.len())
                 .map_err(|e| format!("{}: {e}", path.display()))?
-        })),
+        }),
         None => None,
     };
 
@@ -448,7 +448,7 @@ fn finish_job(
             retries,
             digest,
         };
-        if let Err(e) = journal.lock().unwrap().record(&entry) {
+        if let Err(e) = journal.record(&entry) {
             let error = ErrorReport::input(format!("journaling result: {e}"));
             return Some(failed(job, retries, attempts, error, ms(t0)));
         }

@@ -1,37 +1,24 @@
 //! Crash-safe progress journal and atomic result persistence.
 //!
-//! Two complementary mechanisms make a killed batch resumable:
+//! Each finished job's labels go to `<results>/job-<id>.labels` through
+//! [`write_atomic`], and only then is one `done` record appended to the
+//! journal, a `meta`/`done` codec over [`ecl_obs::durable::RecordLog`].
+//! A kill mid-append leaves at most one torn record, which [`load`]
+//! discards and [`JournalWriter::append`] cuts off — the job reruns,
+//! idempotently, because results are deterministic.
 //!
-//! * **Per-job result files** are written with the classic
-//!   write-temp-then-rename dance: the labels land in
-//!   `<results>/.tmp-job-<id>`, are fsync'd, and only then renamed to
-//!   `<results>/job-<id>.labels` (then the directory is fsync'd, see
-//!   [`write_atomic`]). A kill can leave a stale temp file
-//!   behind but never a torn final file.
-//! * **The journal** is an append-only, line-oriented log. Each
-//!   completed job appends one `done` line *after* its result file is in
-//!   place, flushed and fsync'd before the engine considers the job
-//!   finished. A kill mid-append leaves at most one torn trailing line,
-//!   which the loader silently discards — the worst case is re-running
-//!   one job whose result was already durable, which is idempotent
-//!   because results are deterministic.
-//!
-//! The journal's first line pins a digest of the job list, so resuming
-//! against a different `--jobs` file is rejected instead of silently
-//! mixing two batches. Every `done` line carries the FNV-1a digest of
-//! the result file's bytes; on resume the file is re-hashed and a
-//! mismatch (torn rename, manual tampering) demotes the job back to
-//! pending.
-//!
-//! The format is deliberately TSV, not JSON: it must be parseable after
-//! arbitrary truncation, and a tab-separated line either has all its
-//! fields or it doesn't.
+//! The `meta` line pins a digest of the job list, so resuming against a
+//! different `--jobs` file is rejected instead of mixing two batches.
+//! Every `done` line carries the FNV-1a digest of the result file's
+//! bytes; on resume a mismatch (torn rename, tampering) demotes the job
+//! back to pending.
 
-use ecl_obs::durable::sync_parent_dir;
+use ecl_obs::durable::{load_log, RecordLog};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::path::{Path, PathBuf};
+
+pub use ecl_obs::durable::{fnv1a, write_atomic};
 
 /// Journal format version; bumped on incompatible changes.
 const VERSION: u32 = 1;
@@ -51,37 +38,38 @@ pub struct JournalEntry {
     pub digest: u64,
 }
 
-/// Append-side handle: owns the journal file, fsyncs every record.
+/// Append-side handle, safe to share between workers: every record is
+/// fsync'd before [`record`](Self::record) returns.
 pub struct JournalWriter {
-    file: File,
+    log: RecordLog,
 }
 
 impl JournalWriter {
     /// Creates (truncating) a fresh journal for a batch whose job list
     /// hashes to `jobs_digest`.
     pub fn create(path: &Path, jobs_digest: u64, num_jobs: usize) -> io::Result<JournalWriter> {
-        let mut file = File::create(path)?;
-        writeln!(file, "meta\t{VERSION}\t{jobs_digest:016x}\t{num_jobs}")?;
-        file.sync_data()?;
-        sync_parent_dir(path);
-        Ok(JournalWriter { file })
+        let meta = format!("meta\t{VERSION}\t{jobs_digest:016x}\t{num_jobs}\n");
+        let log = RecordLog::create(path, meta.as_bytes())?;
+        Ok(JournalWriter { log })
     }
 
-    /// Reopens an existing journal for appending (resume).
+    /// Reopens an existing journal for appending (resume), cutting any
+    /// torn tail first.
     pub fn append(path: &Path) -> io::Result<JournalWriter> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(JournalWriter { file })
+        let snap = load(path)?;
+        // The journal never reads sequence numbers, so they start at 0.
+        let log = RecordLog::open_append(path, snap.valid_len, 0, 0)?;
+        Ok(JournalWriter { log })
     }
 
     /// Durably appends one completed job. Returns only after the bytes
     /// are flushed and fsync'd — the crash-consistency point.
-    pub fn record(&mut self, e: &JournalEntry) -> io::Result<()> {
-        writeln!(
-            self.file,
-            "done\t{}\t{}\t{}\t{}\t{:016x}",
+    pub fn record(&self, e: &JournalEntry) -> io::Result<()> {
+        let line = format!(
+            "done\t{}\t{}\t{}\t{}\t{:016x}\n",
             e.job_id, e.backend, e.components, e.retries, e.digest
-        )?;
-        self.file.sync_data()
+        );
+        self.log.append(line.as_bytes()).map(drop)
     }
 }
 
@@ -95,75 +83,48 @@ pub struct JournalSnapshot {
     /// Completed jobs by id (later duplicates win, though duplicates
     /// only arise from a re-run of an already-durable job).
     pub done: HashMap<u64, JournalEntry>,
+    /// Byte offset of the end of the last valid record.
+    pub valid_len: u64,
 }
 
-/// Loads a journal, discarding any torn trailing line. Fails if the
-/// file is missing or its meta line is unreadable.
+/// Loads a journal, discarding a torn tail: the first record that is
+/// unparseable or lacks its newline, and everything after it (those
+/// jobs simply rerun). Fails if the file is missing or its meta line is
+/// torn or unreadable.
 pub fn load(path: &Path) -> io::Result<JournalSnapshot> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut lines = reader.lines();
-    let meta = lines
-        .next()
-        .transpose()?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "journal is empty"))?;
-    let mut mf = meta.split('\t');
-    let (jobs_digest, num_jobs) = match (mf.next(), mf.next(), mf.next(), mf.next()) {
-        (Some("meta"), Some(v), Some(digest), Some(n)) if v == VERSION.to_string() => {
-            let digest = u64::from_str_radix(digest, 16)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let n: usize = n
-                .parse()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            (digest, n)
-        }
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad journal meta line: {meta:?}"),
-            ))
-        }
-    };
-    let mut done = HashMap::new();
-    for line in lines {
-        let line = line?;
-        if let Some(entry) = parse_done_line(&line) {
-            done.insert(entry.job_id, entry);
-        }
-        // Anything unparseable is treated as a torn tail and skipped;
-        // the corresponding job simply reruns.
-    }
+    let log = load_log(path, "journal", parse_meta_line, parse_done_line)?;
+    let (jobs_digest, num_jobs) = log.header;
     Ok(JournalSnapshot {
         jobs_digest,
         num_jobs,
-        done,
+        done: log.records.into_iter().map(|e| (e.job_id, e)).collect(),
+        valid_len: log.valid_len,
     })
 }
 
-fn parse_done_line(line: &str) -> Option<JournalEntry> {
-    let mut f = line.split('\t');
-    match (
-        f.next(),
-        f.next(),
-        f.next(),
-        f.next(),
-        f.next(),
-        f.next(),
-        f.next(),
-    ) {
-        (Some("done"), Some(id), Some(backend), Some(comp), Some(retries), Some(digest), None) => {
-            Some(JournalEntry {
-                job_id: id.parse().ok()?,
-                backend: backend.to_string(),
-                components: comp.parse().ok()?,
-                retries: retries.parse().ok()?,
-                digest: u64::from_str_radix(digest, 16).ok()?,
-            })
+fn parse_meta_line(line: &str) -> Option<(u64, usize)> {
+    let f: Vec<&str> = line.split('\t').collect();
+    match f[..] {
+        ["meta", v, digest, n, ..] if v == VERSION.to_string() => {
+            Some((u64::from_str_radix(digest, 16).ok()?, n.parse().ok()?))
         }
         _ => None,
     }
 }
 
-pub use ecl_obs::durable::{fnv1a, write_atomic};
+fn parse_done_line(line: &str) -> Option<JournalEntry> {
+    let f: Vec<&str> = line.split('\t').collect();
+    let ["done", id, backend, comp, retries, digest] = f[..] else {
+        return None;
+    };
+    Some(JournalEntry {
+        job_id: id.parse().ok()?,
+        backend: backend.to_string(),
+        components: comp.parse().ok()?,
+        retries: retries.parse().ok()?,
+        digest: u64::from_str_radix(digest, 16).ok()?,
+    })
+}
 
 /// The result-file path for a job id inside a results directory.
 pub fn result_path(results_dir: &Path, job_id: u64) -> PathBuf {
@@ -173,6 +134,8 @@ pub fn result_path(results_dir: &Path, job_id: u64) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ecl_journal_{tag}_{}", std::process::id()));
@@ -195,7 +158,7 @@ mod tests {
     fn roundtrip_create_record_load() {
         let d = tmpdir("roundtrip");
         let p = d.join("j.journal");
-        let mut w = JournalWriter::create(&p, 0xabc, 5).unwrap();
+        let w = JournalWriter::create(&p, 0xabc, 5).unwrap();
         w.record(&entry(0)).unwrap();
         w.record(&entry(3)).unwrap();
         drop(w);
@@ -205,7 +168,7 @@ mod tests {
         assert_eq!(snap.done.len(), 2);
         assert_eq!(snap.done[&3], entry(3));
         // Resume-side append.
-        let mut w = JournalWriter::append(&p).unwrap();
+        let w = JournalWriter::append(&p).unwrap();
         w.record(&entry(4)).unwrap();
         drop(w);
         assert_eq!(load(&p).unwrap().done.len(), 3);
@@ -215,7 +178,7 @@ mod tests {
     fn torn_tail_is_discarded() {
         let d = tmpdir("torn");
         let p = d.join("j.journal");
-        let mut w = JournalWriter::create(&p, 1, 4).unwrap();
+        let w = JournalWriter::create(&p, 1, 4).unwrap();
         w.record(&entry(0)).unwrap();
         drop(w);
         // Simulate a kill mid-append: a truncated record at the tail.
@@ -225,6 +188,28 @@ mod tests {
         let snap = load(&p).unwrap();
         assert_eq!(snap.done.len(), 1);
         assert!(snap.done.contains_key(&0));
+    }
+
+    #[test]
+    fn append_after_torn_tail_keeps_every_later_record() {
+        // Resuming over a torn tail must cut the tear before writing:
+        // otherwise job 2's record fuses with it into one unparseable
+        // line and a later load loses job 2.
+        let d = tmpdir("torn_resume");
+        let p = d.join("j.journal");
+        let w = JournalWriter::create(&p, 1, 4).unwrap();
+        w.record(&entry(0)).unwrap();
+        drop(w);
+        let mut f = OpenOptions::new().append(true).open(&p).unwrap();
+        write!(f, "done\t1\tgpu-si").unwrap();
+        drop(f);
+        let w = JournalWriter::append(&p).unwrap();
+        w.record(&entry(2)).unwrap();
+        w.record(&entry(3)).unwrap();
+        drop(w);
+        let mut ids: Vec<u64> = load(&p).unwrap().done.into_keys().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 2, 3]);
     }
 
     #[test]

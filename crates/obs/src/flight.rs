@@ -6,8 +6,8 @@
 //! up when something dies: on a session panic, WAL poison, breaker
 //! open, shard device crash or watchdog fire, the owner calls
 //! [`FlightRecorder::dump_to`], which writes a digest-stamped
-//! `postmortem.json` using the journal's write-temp-rename discipline
-//! (never a torn file, even if the process dies mid-dump).
+//! `postmortem.json` through [`crate::durable::write_atomic`] (never a
+//! torn file, even if the process dies mid-dump).
 //! [`validate_postmortem`] is the parser half: it re-derives the digest
 //! from the parsed notes, so CI can prove a dump is internally
 //! consistent, not just syntactically valid JSON.

@@ -5,10 +5,10 @@
 //!
 //! * the write-ahead log ([`crate::wal`]) — every acknowledged `ADD` is
 //!   fsync'd before the client hears `OK`;
-//! * periodic **snapshots** of the parent array, written with the
-//!   journal crate's write-temp-fsync-rename discipline and pinned by
-//!   an FNV-1a digest, so resume replays only the WAL suffix instead of
-//!   the whole history.
+//! * periodic **snapshots** of the parent array: an `eclsnap` stamped
+//!   label file ([`ecl_obs::durable::render_label_file`]) written
+//!   through [`write_atomic`] and pinned by an FNV-1a digest, so resume
+//!   replays only the WAL suffix instead of the whole history.
 //!
 //! ## The consistency argument
 //!
@@ -37,12 +37,13 @@ use crate::protocol::RequestError;
 use crate::wal::{self, Wal};
 use ecl_cc::incremental::IncrementalCc;
 use ecl_graph::Vertex;
-use ecl_obs::durable::{fnv1a, fnv1a_extend, push_decimal, write_atomic};
+use ecl_obs::durable::{read_label_file, render_label_file, write_atomic};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Snapshot format version; bumped on incompatible changes.
+/// Snapshot magic and format version (bumped on incompatible changes).
+const SNAP_MAGIC: &str = "eclsnap";
 const SNAP_VERSION: u32 = 1;
 
 /// WAL file name inside the state directory.
@@ -254,80 +255,24 @@ impl ServeState {
     }
 }
 
-/// The snapshot document: `eclsnap\t<version>\t<n>\t<covered>\t<digest>`
-/// then one decimal parent per line. Rendered into one buffer with no
-/// per-entry allocation: the digest has a fixed 16-hex width, so the
-/// header goes in first with a placeholder that is patched once the
-/// body is hashed in place.
+/// The snapshot document: `eclsnap\t1\t<n>\t<covered>\t<digest>`, then
+/// one decimal parent per line.
 fn render_snapshot(parents: &[Vertex], covered: u64) -> Vec<u8> {
-    let n = parents.len();
-    // Up to 7 digits plus a newline per entry covers 2^20 vertices.
-    let mut doc = Vec::with_capacity(64 + n * 8);
-    doc.extend_from_slice(format!("eclsnap\t{SNAP_VERSION}\t{n}\t{covered}\t").as_bytes());
-    let digest_at = doc.len();
-    doc.extend_from_slice(b"0000000000000000\n");
-    let body_at = doc.len();
-    for &p in parents {
-        push_decimal(&mut doc, p.into());
-        doc.push(b'\n');
-    }
-    let digest = snapshot_digest(n, covered, &doc[body_at..]);
-    doc[digest_at..body_at - 1].copy_from_slice(format!("{digest:016x}").as_bytes());
-    doc
-}
-
-/// FNV-1a over `"{n}\t{covered}\n"` followed by the body.
-fn snapshot_digest(n: usize, covered: u64, body: &[u8]) -> u64 {
-    fnv1a_extend(fnv1a(format!("{n}\t{covered}\n").as_bytes()), body)
+    render_label_file(SNAP_MAGIC, SNAP_VERSION, &[covered], parents)
 }
 
 /// Reads and verifies a snapshot file. `Ok(None)` when absent (fresh
 /// WAL-only resume); `Err` when present but torn, tampered, or
 /// unparseable.
 fn read_snapshot(path: &Path) -> Result<Option<(Vec<Vertex>, u64)>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-    };
-    let (header, body) = text
-        .split_once('\n')
-        .ok_or_else(|| format!("{}: missing snapshot header", path.display()))?;
-    let f: Vec<&str> = header.split('\t').collect();
-    let bad = || format!("{}: bad snapshot header {header:?}", path.display());
-    if f.len() != 5 || f[0] != "eclsnap" || f[1] != SNAP_VERSION.to_string() {
-        return Err(bad());
-    }
-    let n: usize = f[2].parse().map_err(|_| bad())?;
-    let covered: u64 = f[3].parse().map_err(|_| bad())?;
-    let digest = u64::from_str_radix(f[4], 16).map_err(|_| bad())?;
-    if snapshot_digest(n, covered, body.as_bytes()) != digest {
-        return Err(format!(
-            "{}: snapshot digest mismatch (torn write or tampering) — refusing to resume \
-             from untrusted state",
-            path.display()
-        ));
-    }
-    let mut parents = Vec::with_capacity(n);
-    for line in body.lines() {
-        parents.push(
-            line.parse::<Vertex>()
-                .map_err(|_| format!("{}: bad parent entry {line:?}", path.display()))?,
-        );
-    }
-    if parents.len() != n {
-        return Err(format!(
-            "{}: snapshot body has {} entries, header says {n}",
-            path.display(),
-            parents.len()
-        ));
-    }
-    Ok(Some((parents, covered)))
+    let file = read_label_file(path, SNAP_MAGIC, SNAP_VERSION, 1)?;
+    Ok(file.map(|f| (f.labels, f.fields[0])))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecl_obs::durable::fnv1a;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ecl_state_{tag}_{}", std::process::id()));

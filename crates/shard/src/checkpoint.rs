@@ -1,23 +1,27 @@
 //! Crash-safe label-frontier checkpoints.
 //!
 //! At every exchange-round boundary the coordinator persists the
-//! current best-known label of every global vertex. The file is written
-//! with the workspace's write-temp-fsync-rename discipline, so a crash
-//! at any byte leaves either the previous complete checkpoint or the
-//! new one — never a torn hybrid. A digest over the label section makes
-//! silent corruption detectable: a checkpoint that does not verify is
-//! treated as absent (recovery then restarts the lost shard from its
-//! local run, which the min-wins monotonicity argument makes safe —
-//! resuming from *older* labels can only cost extra rounds, never
-//! correctness).
+//! best-known label of every global vertex as an `eclshardckpt` version-2
+//! stamped label file ([`ecl_obs::durable::render_label_file`]; the round
+//! and crash count are its header fields). A checkpoint that does not
+//! verify is treated as absent: recovery then restarts the lost shard
+//! from its local run, which min-wins monotonicity makes safe — older
+//! labels cost extra rounds, never correctness.
+//!
+//! Checkpoints are run-scoped: a sharded run writes its round-0
+//! checkpoint before it can read one, and reads only after one of its
+//! own writes landed, so no file from an earlier run or format is read.
 
-use ecl_obs::durable::{fnv1a, write_atomic};
+use ecl_obs::durable::{read_label_file, render_label_file, write_atomic};
 use std::fs;
 use std::io;
 use std::path::Path;
 
 /// Checkpoint file name inside the checkpoint directory.
 pub const CKPT_FILE: &str = "frontier.ckpt";
+
+const CKPT_MAGIC: &str = "eclshardckpt";
+const CKPT_VERSION: u32 = 2;
 
 /// A parsed label-frontier checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,60 +35,22 @@ pub struct Checkpoint {
     pub labels: Vec<u32>,
 }
 
-/// Serializes `labels` into the checkpoint body (one decimal label per
-/// line — greppable, like every other persistent artifact here).
-fn body_bytes(labels: &[u32]) -> Vec<u8> {
-    let mut body = String::with_capacity(labels.len() * 8);
-    for &l in labels {
-        body.push_str(&l.to_string());
-        body.push('\n');
-    }
-    body.into_bytes()
-}
-
 /// Atomically writes the frontier for `round` into `dir/frontier.ckpt`.
 pub fn write_checkpoint(dir: &Path, round: u64, crashes: u32, labels: &[u32]) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    let body = body_bytes(labels);
-    let header = format!(
-        "eclshardckpt\t1\t{}\t{round}\t{crashes}\t{:016x}\n",
-        labels.len(),
-        fnv1a(&body)
-    );
-    let mut bytes = header.into_bytes();
-    bytes.extend_from_slice(&body);
-    write_atomic(&dir.join(CKPT_FILE), &bytes)
+    let doc = render_label_file(CKPT_MAGIC, CKPT_VERSION, &[round, crashes.into()], labels);
+    write_atomic(&dir.join(CKPT_FILE), &doc)
 }
 
 /// Loads the checkpoint from `dir`, if a complete, digest-verified one
 /// exists. Missing, torn, or tampered files all come back as `None` —
 /// the caller falls back to from-scratch recovery.
 pub fn read_checkpoint(dir: &Path) -> Option<Checkpoint> {
-    let data = fs::read(dir.join(CKPT_FILE)).ok()?;
-    let text = std::str::from_utf8(&data).ok()?;
-    let (header, body) = text.split_once('\n')?;
-    let fields: Vec<&str> = header.split('\t').collect();
-    if fields.len() != 6 || fields[0] != "eclshardckpt" || fields[1] != "1" {
-        return None;
-    }
-    let n: usize = fields[2].parse().ok()?;
-    let round: u64 = fields[3].parse().ok()?;
-    let crashes: u32 = fields[4].parse().ok()?;
-    let digest = u64::from_str_radix(fields[5], 16).ok()?;
-    if fnv1a(body.as_bytes()) != digest {
-        return None;
-    }
-    let labels: Vec<u32> = body
-        .lines()
-        .map(|l| l.parse::<u32>().ok())
-        .collect::<Option<_>>()?;
-    if labels.len() != n {
-        return None;
-    }
+    let file = read_label_file(&dir.join(CKPT_FILE), CKPT_MAGIC, CKPT_VERSION, 2).ok()??;
     Some(Checkpoint {
-        round,
-        crashes,
-        labels,
+        round: file.fields[0],
+        crashes: file.fields[1].try_into().ok()?,
+        labels: file.labels,
     })
 }
 

@@ -16,7 +16,8 @@
 //!    faults cost latency, never answers. The fixpoint is a round in
 //!    which no label anywhere improves.
 //! 4. **Checkpoint** — after every round the coordinator persists the
-//!    label frontier crash-safely (write-temp-fsync-rename).
+//!    label frontier crash-safely (a stamped label file, see
+//!    [`crate::checkpoint`]).
 //! 5. **Recover** — an injected device crash (`device_crash_at_round`)
 //!    loses every shard the device hosted; the coordinator reassigns
 //!    them to surviving devices, re-runs their local solve, folds the
@@ -436,11 +437,15 @@ pub fn run_sharded(g: &CsrGraph, cfg: &ShardConfig) -> Result<ShardOutcome, EclE
             // Reassign and re-solve every shard the victim hosted, then
             // fold the checkpointed frontier back in. Survivor shards
             // keep their (possibly further-converged) in-memory state.
+            // Only a checkpoint this run wrote is read back, and only
+            // one sized for this graph (the directory is shared).
             let frontier = cfg
                 .checkpoint_dir
                 .as_deref()
+                .filter(|_| report.checkpoint_writes > 0)
                 .and_then(read_checkpoint)
-                .map(|ck| ck.labels);
+                .map(|ck| ck.labels)
+                .filter(|labels| labels.len() == part.num_vertices);
             let lost: Vec<usize> = (0..num_shards)
                 .filter(|&s| states[s].device == victim)
                 .collect();
